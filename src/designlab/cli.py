@@ -161,12 +161,8 @@ def _cmd_subset_eig(args, out: Reporter) -> int:
         eig = spectra.subset_eigen(space, spectra.load_subset(args.set_file),
                                    args.tol)
     else:
-        sph = _spheres_arg(args, space)
-        if space.is_scheme and space.intersection_numbers is not None:
-            eig = spectra.spherical_subset_eigen(space, args.origin, sph, args.tol)
-        else:
-            omega = np.flatnonzero(np.isin(space.classes[args.origin], sph))
-            eig = spectra.subset_eigen(space, omega, args.tol)
+        eig = spectra.sphere_union_eigen(space, args.origin,
+                                         _spheres_arg(args, space), args.tol)
     out.rows([
         ("method", eig.method),
         ("volume", len(eig.omega)),
@@ -247,12 +243,8 @@ def _cmd_cover(args, out: Reporter) -> int:
     space = _load(args)
     spec = spaces.spectral_decomposition(space, args.origin, args.tol)
     design = designs.load_design(args.design, space.n_vertices)
-    sph = list(range(args.ball + 1))
-    if space.is_scheme and space.intersection_numbers is not None:
-        eig = spectra.spherical_subset_eigen(space, args.origin, sph, args.tol)
-    else:
-        omega = np.flatnonzero(np.isin(space.classes[args.origin], sph))
-        eig = spectra.subset_eigen(space, omega, args.tol)
+    eig = spectra.sphere_union_eigen(space, args.origin, range(args.ball + 1),
+                                     args.tol)
     action = None
     if args.isometries:
         action = designs.load_isometries(args.isometries, space, design,
@@ -276,12 +268,10 @@ def _cmd_torus(args, out: Reporter) -> int:
     if args.action == "density-bound":
         value = torus.lattice_density_bound(args.dim)
         bound = torus.torus_covolume_bound(args.dim, 1.0)
-        grid_density = (torus.unit_ball_volume(args.dim) * 0.5 ** args.dim
-                        * bound.covolume_grid)
         out.rows([
             ("dim", args.dim),
             ("density_bound", value),
-            ("density_bound_grid", grid_density),
+            ("density_bound_grid", bound.density_grid),
             ("rho_star", bound.rho_star),
             ("rho_grid", bound.rho_grid),
         ])

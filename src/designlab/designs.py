@@ -11,13 +11,14 @@ translated copies of Omega's first eigenfunction and checking the chain
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .spaces import DEFAULT_TOL, Space, SpectralData
-from .spectra import SubsetEig, dirichlet_form, spherical_subset_eigen, subset_eigen
+from .spectra import SubsetEig, dirichlet_form, sphere_union_eigen, subset_eigen
 
 STRENGTH_UNBOUNDED = math.inf
 
@@ -151,11 +152,7 @@ def design_bound(space: Space, spectral: SpectralData, t: float,
         raise ValueError("give exactly one of subset or spheres")
     if spheres is not None:
         spheres = tuple(sorted(set(int(s) for s in spheres)))
-        if space.is_scheme and space.intersection_numbers is not None:
-            eig = spherical_subset_eigen(space, spectral.origin, spheres, tol)
-        else:
-            omega = np.flatnonzero(np.isin(space.classes[spectral.origin], spheres))
-            eig = subset_eigen(space, omega, tol)
+        eig = sphere_union_eigen(space, spectral.origin, spheres, tol)
         desc = "spheres " + ",".join(map(str, spheres))
     else:
         eig = subset_eigen(space, subset, tol)
@@ -174,7 +171,7 @@ def design_bound_auto(space: Space, spectral: SpectralData, t: float,
     best = None
     for radius in range(space.n_classes + 1):
         rep = design_bound(space, spectral, t, spheres=range(radius + 1), tol=tol)
-        rep = BoundReport(**{**rep.__dict__, "omega": f"ball {radius}"})
+        rep = dataclasses.replace(rep, omega=f"ball {radius}")
         reports.append(rep)
         if not rep.vacuous and (best is None or rep.bound > best.bound + tol):
             best = rep
@@ -197,23 +194,28 @@ class IsometryAction:
     validated: bool
 
 
+_CHECK_CHUNK = 1 << 20      # class-matrix entries compared at a time
+
+
 def _validate_action(space: Space, design: Design, origin: int,
-                     perms: np.ndarray, sample_cap: int = 100_000) -> None:
+                     perms: np.ndarray) -> None:
+    """Check every permutation exhaustively: a bijection taking its design
+    point to the origin and preserving the class of every vertex pair.
+
+    Rows are compared in chunks, so peak memory stays near
+    ``_CHECK_CHUNK`` entries whatever N is.
+    """
     classes = space.classes
     n = space.n_vertices
+    step = max(1, _CHECK_CHUNK // n)
     for i, (y, perm) in enumerate(zip(design.points, perms)):
-        if sorted(perm) != list(range(n)):
+        if not np.array_equal(np.sort(perm), np.arange(n)):
             raise ValueError(f"isometry {i} is not a permutation")
         if perm[y] != origin:
             raise ValueError(f"isometry {i} does not map point {y} to the origin")
-        if n <= 1024:
-            if (classes[np.ix_(perm, perm)] != classes).any():
-                raise ValueError(f"isometry {i} does not preserve relations")
-        else:
-            rng = np.random.default_rng(0)
-            xs = rng.integers(0, n, size=sample_cap)
-            ys = rng.integers(0, n, size=sample_cap)
-            if (classes[perm[xs], perm[ys]] != classes[xs, ys]).any():
+        for lo in range(0, n, step):
+            rows = slice(lo, lo + step)
+            if (classes[np.ix_(perm[rows], perm)] != classes[rows]).any():
                 raise ValueError(f"isometry {i} does not preserve relations")
 
 
@@ -263,21 +265,32 @@ def translations_to_origin(space: Space, design: Design,
     return IsometryAction(permutations=perms, validated=True)
 
 
+def _int_at(path: str, lineno: int, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: {text!r} is not an integer") from None
+
+
 def load_isometries(path: str, space: Space, design: Design,
                     origin: int = 0) -> IsometryAction:
     """Read an isometry file: ``perm <N>`` then N image lines per point."""
     n = space.n_vertices
     with open(path, encoding="utf-8") as fh:
-        tokens = [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
+        lines = [(no, ln.split()) for no, ln in enumerate(fh, 1)
+                 if ln.strip() and not ln.startswith("#")]
     perms = []
     pos = 0
-    while pos < len(tokens):
-        if tokens[pos][0] != "perm" or int(tokens[pos][1]) != n:
-            raise ValueError(f"{path}: expected 'perm {n}' header at block {len(perms)}")
-        block = [int(tok[0]) for tok in tokens[pos + 1:pos + 1 + n]]
+    while pos < len(lines):
+        lineno, head = lines[pos]
+        if head[0] != "perm" or len(head) != 2 or _int_at(path, lineno, head[1]) != n:
+            raise ValueError(f"{path}:{lineno}: expected 'perm {n}' header "
+                             f"at block {len(perms)}")
+        block = lines[pos + 1:pos + 1 + n]
         if len(block) != n:
-            raise ValueError(f"{path}: truncated permutation block {len(perms)}")
-        perms.append(block)
+            raise ValueError(f"{path}:{lineno}: truncated permutation block "
+                             f"{len(perms)}")
+        perms.append([_int_at(path, no, tok[0]) for no, tok in block])
         pos += 1 + n
     if len(perms) != len(design.points):
         raise ValueError(

@@ -4,7 +4,9 @@ A space is a finite vertex set together with a classification of every
 unordered pair into relation classes 0..m, class 0 being equality.  Graphs
 are the degenerate 3-class case {equal, adjacent, other}.  The Bose-Mesner
 spectral algebra (projectors, eigenmatrix, zonal sphere functions) is
-computed here as well.
+computed here as well: for schemes from the (m+1) x (m+1) quotient of the
+Laplacian on sphere-constant functions, for explicit graphs from a dense
+eigensolve.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
-SIZE_CAP = 4096          # dense projectors; O(N^3) decomposition
+SIZE_CAP = 4096          # dense N x N class matrix and projectors
 DEFAULT_TOL = 1e-9
 
 
@@ -80,19 +82,25 @@ class SpectralData:
     0.  ``projectors[j]`` is the orthogonal projector onto eigenspace j,
     ``eigenmatrix[i, j]`` the eigenvalue of adjacency class i on that
     eigenspace, and ``zonal[j, i]`` the value of the j-th zonal sphere
-    function on class-i vertices (normalised to 1 at the origin).
+    function on class-i vertices (normalised to 1 at the origin).  The
+    (k, N, N) projectors are built by ``build_projectors`` when first read.
     """
 
     origin: int
     eigenvalues: np.ndarray        # (k,)
     multiplicities: np.ndarray     # (k,) int
     eigenmatrix: np.ndarray        # (m+1, k)
-    projectors: np.ndarray         # (k, N, N)
     zonal: np.ndarray              # (k, m+1)
+    build_projectors: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
     @property
     def n_eigenspaces(self) -> int:
         return len(self.eigenvalues)
+
+    @cached_property
+    def projectors(self) -> np.ndarray:
+        """(k, N, N) eigenspace projectors, built on first read and kept."""
+        return self.build_projectors()
 
 
 @dataclass
@@ -106,9 +114,26 @@ class ValidationReport:
 # built-in families
 
 
+def component_labels(adjacency: np.ndarray) -> np.ndarray:
+    """Connected components of an undirected graph given as a dense 0/1 matrix.
+
+    Every vertex is labelled with the lowest vertex of its component.  Each
+    round lowers a label to the least label among its neighbours and then
+    jumps it along the label chain, until nothing changes.
+    """
+    src, dst = np.nonzero(adjacency)
+    labels = np.arange(adjacency.shape[0])
+    while True:
+        lowered = labels.copy()
+        np.minimum.at(lowered, src, labels[dst])
+        lowered = lowered[lowered]
+        if np.array_equal(lowered, labels):
+            return labels
+        labels = lowered
+
+
 def _check_connected(classes: np.ndarray, r: int) -> None:
-    adj = csr_matrix(classes == r)
-    n_comp, _ = connected_components(adj, directed=False)
+    n_comp = len(np.unique(component_labels(classes == r)))
     if n_comp != 1:
         raise SchemeError(
             f"relation class {r} is disconnected ({n_comp} components); "
@@ -379,25 +404,50 @@ def validate_scheme(space: Space) -> ValidationReport:
 # spectral algebra
 
 
-def spectral_decomposition(space: Space, origin: int = 0,
-                           tol: float = DEFAULT_TOL) -> SpectralData:
-    """Eigenspaces, projectors, eigenmatrix and zonal table of a space.
+def quotient_matrix(space: Space, spheres) -> tuple[np.ndarray, np.ndarray]:
+    """Symmetrised quotient Laplacian on a set of sphere indices.
 
-    Eigenspaces are grouped by Laplacian eigenvalue; an inter-group gap
-    below 10x the grouping tolerance is reported as ambiguous rather than
-    silently merged or split.
+    Row/column a of the raw quotient is  deg*delta_ab - p^a_{r,b};
+    conjugation by diag(sqrt(n_a)) makes it symmetric, which is asserted
+    via the identity n_a p^a_{r,b} = n_b p^b_{r,a}.  Returns the symmetric
+    matrix and the sqrt-valency weights.
     """
-    n = space.n_vertices
-    if not 0 <= origin < n:
-        raise SchemeError(f"origin {origin} out of range")
-    lap = space.laplacian()
+    if space.intersection_numbers is None:
+        raise ValueError("space has no intersection numbers; validate it first")
+    spheres = sorted(set(int(s) for s in spheres))
+    if not spheres:
+        raise ValueError("sphere set is empty")
+    if spheres[0] < 0 or spheres[-1] > space.n_classes:
+        raise ValueError("sphere index out of range")
+    idx = np.array(spheres)
+    nval = space.valencies[idx]
+    if (nval == 0).any():
+        raise ValueError(f"sphere {idx[np.argmax(nval == 0)]} is empty")
+    p_r = space.intersection_numbers[np.ix_(idx, [space.laplacian_class], idx)][:, 0, :]
+    flow = nval[:, None] * p_r
+    if (flow != flow.T).any():
+        a, b = idx[np.argwhere(flow != flow.T)[0]]
+        raise RuntimeError(
+            f"valency-intersection symmetry fails at classes {a},{b}")
+    root = np.sqrt(nval.astype(float))
+    sym = (space.degree * np.eye(len(idx)) - p_r) * (root[:, None] / root[None, :])
+    return sym, root
+
+
+def _eigh(matrix: np.ndarray):
     try:
-        w, vecs = np.linalg.eigh(lap)
+        return np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigensolver failed to converge: {exc}") from exc
 
-    scale = max(1.0, float(space.degree))
-    group_tol = tol * scale
+
+def _group_eigenvalues(w: np.ndarray, group_tol: float):
+    """Group ascending eigenvalues into eigenspaces by the gap rule.
+
+    A gap above ``group_tol`` separates two groups; a gap below 10x that
+    tolerance is reported as ambiguous rather than silently merged or
+    split.  Returns the start index of each group and its eigenvalue.
+    """
     gaps = np.diff(w)
     ambiguous = (gaps > group_tol) & (gaps < 10 * group_tol)
     if ambiguous.any():
@@ -405,53 +455,104 @@ def spectral_decomposition(space: Space, origin: int = 0,
         raise RuntimeError(
             f"eigenvalue grouping ambiguous: gap {gaps[i]:.3e} between "
             f"{w[i]:.12g} and {w[i + 1]:.12g} is below 10x tolerance")
-    boundaries = np.flatnonzero(gaps > group_tol) + 1
-    groups = np.split(np.arange(n), boundaries)
-
-    k = len(groups)
-    eigenvalues = np.array([w[g].mean() for g in groups])
+    starts = np.r_[0, np.flatnonzero(gaps > group_tol) + 1]
+    eigenvalues = np.add.reduceat(w, starts) / np.diff(np.r_[starts, len(w)])
     near_int = np.abs(eigenvalues - np.rint(eigenvalues)) <= group_tol
     eigenvalues[near_int] = np.rint(eigenvalues[near_int])
     eigenvalues[0] = 0.0
-    eigenvalues = np.maximum(eigenvalues, 0.0)
-    multiplicities = np.array([len(g) for g in groups])
-    projectors = np.empty((k, n, n))
-    for j, g in enumerate(groups):
-        basis = vecs[:, g]
-        projectors[j] = basis @ basis.T
+    return starts, np.maximum(eigenvalues, 0.0)
 
-    m = space.n_classes
-    eigenmatrix = np.full((m + 1, k), np.nan)
-    class_rows = range(m + 1) if space.is_scheme else range(2)
-    for i in class_rows:
-        ai = space.adjacency(i)
-        for j in range(k):
-            eigenmatrix[i, j] = np.sum(projectors[j] * ai) / multiplicities[j]
 
-    # zonal table from projector columns, checked class-constant
-    ring = space.classes[origin]
-    sphere_sizes = np.bincount(ring, minlength=m + 1)
-    zonal = np.zeros((k, m + 1))
-    for j in range(k):
-        col = (n / multiplicities[j]) * projectors[j][:, origin]
-        sums = np.bincount(ring, weights=col, minlength=m + 1)
-        avg = np.divide(sums, sphere_sizes, out=np.zeros(m + 1),
-                        where=sphere_sizes > 0)
-        if space.is_scheme:
-            spread = np.abs(col - avg[ring]).max()
-            if spread > 100 * tol * scale:
-                raise RuntimeError(
-                    f"zonal function {j} not constant on spheres "
-                    f"(spread {spread:.3e}); space is not 1-transitive "
-                    "or eigenspaces merged")
-        zonal[j] = avg
+def spectral_decomposition(space: Space, origin: int = 0,
+                           tol: float = DEFAULT_TOL) -> SpectralData:
+    """Eigenspaces, projectors, eigenmatrix and zonal table of a space.
+
+    Schemes are decomposed in their Bose-Mesner algebra, from the quotient
+    Laplacian on the m+1 spheres around the origin; explicit graphs by a
+    dense eigensolve.  Eigenspaces are grouped by Laplacian eigenvalue; an
+    inter-group gap below 10x the grouping tolerance is reported as
+    ambiguous rather than silently merged or split.
+    """
+    if not 0 <= origin < space.n_vertices:
+        raise SchemeError(f"origin {origin} out of range")
+    if space.is_scheme:
+        return _scheme_spectrum(space, origin, tol)
+    return _graph_spectrum(space, origin, tol)
+
+
+def _scheme_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
+    """Spectral data from one eigensolve of the (m+1) x (m+1) quotient.
+
+    The quotient is the Laplacian on sphere-constant functions around the
+    origin, in the orthonormal basis 1_{S_i}/sqrt(k_i).  An eigenvalue
+    group G of it spans E_G delta_o, so with u_G the origin row of its
+    eigenvectors, m_G = N |u_G|^2 and z_G(i) = (U_G u_G)_i / (sqrt(k_i) |u_G|^2).
+    """
+    n, m = space.n_vertices, space.n_classes
+    live = np.flatnonzero(space.valencies)      # classes that occur
+    sym, root = quotient_matrix(space, live)
+    w, u = _eigh(sym)
+    starts, eigenvalues = _group_eigenvalues(w, tol * max(1.0, float(space.degree)))
+    at_origin = np.add.reduceat(u[0] ** 2, starts)          # (E_G)_{oo} = m_G / N
+    mult = n * at_origin
+    multiplicities = np.rint(mult).astype(int)
+    off = (np.abs(mult - multiplicities) > tol * n) | (multiplicities < 1)
+    if off.any() or multiplicities.sum() != n:
+        raise RuntimeError(
+            "eigenspace multiplicities "
+            f"{' '.join(f'{x:.6g}' for x in mult)} are not positive integers "
+            f"summing to N = {n}; the intersection numbers are not those "
+            "of a scheme")
+    zonal = np.zeros((len(starts), m + 1))
+    zonal[:, live] = (np.add.reduceat(u * u[0], starts, axis=1)
+                      / (root[:, None] * at_origin)).T
+    eigenmatrix = space.valencies[:, None] * zonal.T
+
+    def build_projectors() -> np.ndarray:
+        proj = zonal[:, space.classes]
+        proj *= (multiplicities / n)[:, None, None]
+        return proj
+
     return SpectralData(
         origin=origin,
         eigenvalues=eigenvalues,
         multiplicities=multiplicities,
         eigenmatrix=eigenmatrix,
-        projectors=projectors,
         zonal=zonal,
+        build_projectors=build_projectors,
+    )
+
+
+def _graph_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
+    """Spectral data of an explicit graph from a dense eigensolve.
+
+    Only classes 0 and 1 (equality and adjacency) have eigenvalues; the
+    eigenmatrix row of class 2 is NaN.
+    """
+    n, m = space.n_vertices, space.n_classes
+    w, vecs = _eigh(space.laplacian())
+    starts, eigenvalues = _group_eigenvalues(w, tol * max(1.0, float(space.degree)))
+    ends = np.r_[starts[1:], n]
+    multiplicities = ends - starts
+    projectors = np.stack([vecs[:, a:b] @ vecs[:, a:b].T
+                           for a, b in zip(starts, ends)])
+    eigenmatrix = np.full((m + 1, len(starts)), np.nan)
+    for i in range(2):
+        eigenmatrix[i] = (np.einsum("jxy,xy->j", projectors, space.adjacency(i))
+                          / multiplicities)
+    ring = space.classes[origin]
+    sizes = np.bincount(ring, minlength=m + 1)
+    cols = (n / multiplicities)[:, None] * projectors[:, :, origin]
+    zonal = np.stack([np.bincount(ring, weights=col, minlength=m + 1)
+                      for col in cols])
+    zonal = np.divide(zonal, sizes, out=np.zeros_like(zonal), where=sizes > 0)
+    return SpectralData(
+        origin=origin,
+        eigenvalues=eigenvalues,
+        multiplicities=multiplicities,
+        eigenmatrix=eigenmatrix,
+        zonal=zonal,
+        build_projectors=lambda: projectors,
     )
 
 

@@ -11,10 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
-from .spaces import DEFAULT_TOL, Space
+from .spaces import DEFAULT_TOL, Space, component_labels, quotient_matrix
 
 
 @dataclass(frozen=True)
@@ -75,10 +73,9 @@ def _min_block_eigen(matrix: np.ndarray, adjacency: np.ndarray, tol: float):
     in the coordinates of ``matrix``.
     """
     n = matrix.shape[0]
-    n_comp, comp = connected_components(csr_matrix(adjacency), directed=False)
-    order = sorted(range(n_comp), key=lambda c: int(np.flatnonzero(comp == c)[0]))
+    comp = component_labels(adjacency)
     best_val, best_vec = None, None
-    for c in order:
+    for c in np.unique(comp):            # ascending lowest member
         idx = np.flatnonzero(comp == c)
         sub = matrix[np.ix_(idx, idx)]
         w, v = np.linalg.eigh(sub)
@@ -113,38 +110,6 @@ def subset_eigen(space: Space, omega, tol: float = DEFAULT_TOL) -> SubsetEig:
     return SubsetEig(omega=omega, value=val, eigenfunction=psi, method="dense")
 
 
-def quotient_matrix(space: Space, spheres) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetrised quotient Laplacian on a set of sphere indices.
-
-    Row/column a of the raw quotient is  deg*delta_ab - p^a_{r,b};
-    conjugation by diag(sqrt(n_a)) makes it symmetric, which is asserted
-    via the identity n_a p^a_{r,b} = n_b p^b_{r,a}.  Returns the symmetric
-    matrix and the sqrt-valency weights.
-    """
-    if space.intersection_numbers is None:
-        raise ValueError("space has no intersection numbers; validate it first")
-    spheres = sorted(set(int(s) for s in spheres))
-    if not spheres:
-        raise ValueError("sphere set is empty")
-    if spheres[0] < 0 or spheres[-1] > space.n_classes:
-        raise ValueError("sphere index out of range")
-    p = space.intersection_numbers
-    r = space.laplacian_class
-    nval = space.valencies
-    for a in spheres:
-        if nval[a] == 0:
-            raise ValueError(f"sphere {a} is empty")
-        for b in spheres:
-            if nval[a] * p[a, r, b] != nval[b] * p[b, r, a]:
-                raise RuntimeError(
-                    f"valency-intersection symmetry fails at classes {a},{b}")
-    idx = np.array(spheres)
-    raw = space.degree * np.eye(len(idx)) - p[np.ix_(idx, [r], idx)][:, 0, :]
-    root = np.sqrt(nval[idx].astype(float))
-    sym = raw * (root[:, None] / root[None, :])
-    return sym, root
-
-
 def spherical_subset_eigen(space: Space, origin: int, spheres,
                            tol: float = DEFAULT_TOL) -> SubsetEig:
     """Dirichlet eigenvalue of a union of spheres via the quotient matrix.
@@ -159,16 +124,27 @@ def spherical_subset_eigen(space: Space, origin: int, spheres,
     val, u = _min_block_eigen(sym, adj, tol)
     if -tol * space.degree < val < 0:
         val = 0.0
-    v = u / root                       # back to sphere-function coordinates
+    vals = np.zeros(space.n_classes + 1)
+    vals[list(spheres)] = u / root     # back to sphere-function coordinates
     ring = space.classes[origin]
-    psi = np.zeros(space.n_vertices)
-    for a, va in zip(spheres, v):
-        psi[ring == a] = va
-    psi = _sign_normalize(psi, tol)
+    psi = _sign_normalize(vals[ring], tol)
     psi /= np.linalg.norm(psi)
     omega = np.flatnonzero(np.isin(ring, spheres))
     return SubsetEig(omega=omega, value=val, eigenfunction=psi,
                      method="quotient", origin=origin, spheres=spheres)
+
+
+def sphere_union_eigen(space: Space, origin: int, spheres,
+                       tol: float = DEFAULT_TOL) -> SubsetEig:
+    """Dirichlet eigenvalue of a union of spheres around ``origin``.
+
+    Takes the quotient route when the space carries intersection numbers,
+    and dense restriction otherwise (explicit graphs).
+    """
+    if space.is_scheme and space.intersection_numbers is not None:
+        return spherical_subset_eigen(space, origin, spheres, tol)
+    omega = np.flatnonzero(np.isin(space.classes[origin], list(spheres)))
+    return subset_eigen(space, omega, tol)
 
 
 def load_subset(path: str) -> np.ndarray:

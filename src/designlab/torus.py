@@ -5,11 +5,17 @@ dual torus is a design of strength t = 4 pi^2 s^2, so a Euclidean ball with
 fundamental tone below t essentially covers the torus.  Optimising the ball
 radius gives an upper bound on the dual covolume and hence on lattice
 sphere-packing density.
+
+The bounds are products of powers that leave the float range from about
+dimension 237 while the products themselves do not; each is therefore also
+formed as the exp of a sum of logs (see ``_product``).
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from scipy.optimize import brentq, minimize_scalar
@@ -34,8 +40,34 @@ def bessel_first_zero(order: float, max_steps: int = 10_000) -> float:
     return float(brentq(lambda z: jv(order, z), lo, x, xtol=1e-15, rtol=8.9e-16))
 
 
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
+
+
+def _product(direct: Callable[[], float], log_value: float) -> float:
+    """A positive product, given as written and as the log of its value.
+
+    The product as written is kept while it is within 1e-12 of
+    exp(log_value), which shows that no factor or partial product left the
+    float range on the way.  Otherwise exp(log_value) is returned: math.inf
+    above the float range, a vacuous upper bound.
+    """
+    via_logs = math.exp(log_value) if log_value < _LOG_FLOAT_MAX else math.inf
+    try:
+        value = direct()
+    except OverflowError:
+        return via_logs
+    if math.isfinite(via_logs) and abs(value - via_logs) <= 1e-12 * via_logs:
+        return value
+    return via_logs
+
+
+def _log_unit_ball_volume(dim: int) -> float:
+    return dim / 2 * math.log(math.pi) - math.lgamma(dim / 2 + 1)
+
+
 def unit_ball_volume(dim: int) -> float:
-    return math.pi ** (dim / 2) / math.gamma(dim / 2 + 1)
+    return _product(lambda: math.pi ** (dim / 2) / math.gamma(dim / 2 + 1),
+                    _log_unit_ball_volume(dim))
 
 
 def ball_fundamental_tone(dim: int, radius: float) -> float:
@@ -58,10 +90,18 @@ class TorusBound:
     density_bound: float           # upper bound on lattice packing density
     rho_grid: float                # grid-search minimiser, for auditing
     covolume_grid: float           # grid-search bound value
+    density_grid: float            # density bound from covolume_grid
 
 
 def _ratio_objective(rho: float, dim: int) -> float:
-    return rho ** (-dim / 2) / (1.0 - rho)
+    try:
+        return rho ** (-dim / 2) / (1.0 - rho)
+    except OverflowError:
+        return math.inf
+
+
+def _log_ratio_objective(rho: float, dim: int) -> float:
+    return -dim / 2 * math.log(rho) - math.log(1.0 - rho)
 
 
 def torus_covolume_bound(dim: int, shortest: float) -> TorusBound:
@@ -71,7 +111,8 @@ def torus_covolume_bound(dim: int, shortest: float) -> TorusBound:
     The bound is min over ball radii r of t/(t - lambda(r)) * v_n r^n with
     lambda(r) the ball tone; substituting rho = lambda/t reduces it to
     minimising rho^(-n/2)/(1 - rho), whose minimiser is n/(n+2).  The
-    closed form is cross-checked against a numeric minimisation.
+    closed form is cross-checked against a numeric minimisation.  Above
+    the float range the covolume bounds are math.inf.
     """
     if dim < 1 or shortest <= 0:
         raise ValueError("need dim >= 1 and shortest > 0")
@@ -79,19 +120,29 @@ def torus_covolume_bound(dim: int, shortest: float) -> TorusBound:
     s = shortest
     t = 4 * math.pi ** 2 * s ** 2
     j1 = bessel_first_zero(n / 2 - 1)
-    vn = unit_ball_volume(n)
-    base = vn * (j1 / (2 * math.pi * s)) ** n
+    log_vn = _log_unit_ball_volume(n)
+    log_base = log_vn + n * math.log(j1 / (2 * math.pi * s))
+    log_cell = n * math.log(s / 2)         # density = v_n (s/2)^n covolume
+
+    def bounds(rho: float) -> tuple[float, float]:
+        """Covolume and density bounds at the ratio rho."""
+        log_covolume = log_base + _log_ratio_objective(rho, n)
+        covolume = _product(
+            lambda: (unit_ball_volume(n) * (j1 / (2 * math.pi * s)) ** n
+                     * _ratio_objective(rho, n)),
+            log_covolume)
+        density = _product(lambda: unit_ball_volume(n) * (s / 2) ** n * covolume,
+                           log_vn + log_cell + log_covolume)
+        return covolume, density
 
     rho_star = n / (n + 2)
-    covolume = base * _ratio_objective(rho_star, n)
+    covolume, density = bounds(rho_star)
     r_star = j1 / math.sqrt(rho_star * t)
 
     res = minimize_scalar(_ratio_objective, bounds=(1e-9, 1 - 1e-9), args=(n,),
                           method="bounded", options={"xatol": 1e-10})
     rho_grid = float(res.x)
-    covolume_grid = base * _ratio_objective(rho_grid, n)
-
-    density = unit_ball_volume(n) * (s / 2) ** n * covolume
+    covolume_grid, density_grid = bounds(rho_grid)
     return TorusBound(
         dim=n,
         shortest=s,
@@ -102,6 +153,7 @@ def torus_covolume_bound(dim: int, shortest: float) -> TorusBound:
         density_bound=density,
         rho_grid=rho_grid,
         covolume_grid=covolume_grid,
+        density_grid=density_grid,
     )
 
 
@@ -115,5 +167,8 @@ def lattice_density_bound(dim: int) -> float:
         raise ValueError("need dim >= 1")
     n = dim
     j1 = bessel_first_zero(n / 2 - 1)
-    vn = unit_ball_volume(n)
-    return vn ** 2 * (j1 / (4 * math.pi)) ** n * ((n + 2) / n) ** (n / 2) * (n + 2) / 2
+    return _product(
+        lambda: (unit_ball_volume(n) ** 2 * (j1 / (4 * math.pi)) ** n
+                 * ((n + 2) / n) ** (n / 2) * (n + 2) / 2),
+        2 * _log_unit_ball_volume(n) + n * math.log(j1 / (4 * math.pi))
+        + n / 2 * math.log((n + 2) / n) + math.log((n + 2) / 2))

@@ -102,6 +102,17 @@ def test_cover(capsys, tmp_path):
     assert "chain_spectral_volume = 2.0" in out
 
 
+def test_cover_perm_header_without_size(capsys, tmp_path):
+    dfile = tmp_path / "d.txt"
+    dfile.write_text("0\n255\n")
+    bad = tmp_path / "iso.txt"
+    bad.write_text("perm\n" + "".join(f"{x}\n" for x in range(256)))
+    code, out = run(capsys, "cover", "hamming:n=8,q=2", "--design", str(dfile),
+                    "--t", "8", "--ball", "1", "--isometries", str(bad))
+    assert code == 1
+    assert out.startswith(f"error: {bad}:1: expected 'perm 256' header")
+
+
 def test_torus_commands(capsys):
     code, out = run(capsys, "torus", "covolume-bound", "--dim", "1",
                     "--shortest", "1")
@@ -110,6 +121,14 @@ def test_torus_commands(capsys):
     code, out = run(capsys, "torus", "density-bound", "--dim", "8")
     assert code == 0
     assert "density_bound = 0.88" in out
+
+
+def test_torus_density_bound_high_dimension(capsys):
+    code, out = run(capsys, "torus", "density-bound", "--dim", "400")
+    assert code == 0
+    rows = dict(line.split(" = ") for line in out.splitlines())
+    for key in ("density_bound", "density_bound_grid"):
+        assert 0 < float(rows[key]) < 1e-50
 
 
 def test_usage_error_exits_2(capsys):

@@ -179,6 +179,39 @@ def test_bad_isometry_rejected(tmp_path, c4):
         dl.load_isometries(str(path), c4, d)
 
 
+@pytest.mark.parametrize("text, where, what", [
+    ("perm\n0\n1\n2\n3\n", ":1:", "expected 'perm 4' header"),
+    ("perm four\n0\n1\n2\n3\n", ":1:", "'four' is not an integer"),
+    ("# c\nperm 4\n2\n3\nx\n1\n", ":5:", "'x' is not an integer"),
+    ("perm 4\n2\n3\n", ":1:", "truncated"),
+])
+def test_malformed_isometry_file_names_the_line(tmp_path, c4, text, where, what):
+    path = tmp_path / "iso.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        dl.load_isometries(str(path), c4, dl.make_design([2]))
+    assert str(exc.value).startswith(f"{path}{where}")
+    assert what in str(exc.value)
+
+
+def test_isometries_checked_exhaustively_above_1024_vertices(tmp_path):
+    h11 = dl.hamming(11, 2)                 # N = 2048
+    d = dl.make_design([0, 5, 1234])
+    act = dl.translations_to_origin(h11, d)
+    assert act.validated
+    # a translation composed with a transposition of two vertices outside
+    # the design moves only two of the 2048 rows of the class matrix
+    perms = act.permutations.copy()
+    perms[1, [77, 1500]] = perms[1, [1500, 77]]
+    path = tmp_path / "iso.txt"
+    with open(path, "w") as fh:
+        for perm in perms:
+            fh.write(f"perm {h11.n_vertices}\n")
+            fh.writelines(f"{v}\n" for v in perm)
+    with pytest.raises(ValueError, match="isometry 1 does not preserve relations"):
+        dl.load_isometries(str(path), h11, d)
+
+
 # ---------------------------------------------------------------------------
 # F and the covering chain
 

@@ -109,3 +109,51 @@ def test_cycle_discretization_matches_interval_tone():
     lam = dl.subset_eigen(space, space.ball(0, radius)).value
     continuum = dl.ball_fundamental_tone(1, (k + 1) / 2)
     assert abs(lam - continuum) / continuum < 0.01
+
+
+# ---------------------------------------------------------------------------
+# high dimensions: the bounds are formed from logs where powers overflow
+
+
+def _direct_bounds(n, s):
+    """The closed forms multiplied out directly, valid while nothing overflows."""
+    j1 = dl.bessel_first_zero(n / 2 - 1)
+    vn = math.pi ** (n / 2) / math.gamma(n / 2 + 1)
+    tb = dl.torus_covolume_bound(n, s)
+    base = vn * (j1 / (2 * math.pi * s)) ** n
+    covolume = base * (n / (n + 2)) ** (-n / 2) / (1 - n / (n + 2))
+    grid = base * tb.rho_grid ** (-n / 2) / (1 - tb.rho_grid)
+    density = vn ** 2 * (j1 / (4 * math.pi)) ** n * ((n + 2) / n) ** (n / 2) * (n + 2) / 2
+    cell = vn * (s / 2) ** n
+    return tb, vn, covolume, grid, cell * covolume, cell * grid, density
+
+
+@pytest.mark.parametrize("s", [1.0, 1.7])
+def test_log_space_agrees_with_direct_products(s):
+    for n in range(1, 237, 5):
+        tb, vn, covolume, grid, density, density_grid, lattice = _direct_bounds(n, s)
+        assert dl.unit_ball_volume(n) == pytest.approx(vn, rel=1e-12)
+        assert tb.covolume_bound == pytest.approx(covolume, rel=1e-12)
+        assert tb.covolume_grid == pytest.approx(grid, rel=1e-12)
+        assert tb.density_bound == pytest.approx(density, rel=1e-12)
+        assert tb.density_grid == pytest.approx(density_grid, rel=1e-12)
+        assert dl.lattice_density_bound(n) == pytest.approx(lattice, rel=1e-12)
+
+
+def test_density_bounds_finite_in_high_dimensions():
+    previous = 1.0
+    for n in range(237, 401):
+        density = dl.lattice_density_bound(n)
+        assert 0 < density < previous
+        previous = density
+        tb = dl.torus_covolume_bound(n, 1.0)
+        for value in (tb.density_bound, tb.density_grid):
+            assert value == pytest.approx(density, rel=1e-9)
+    assert 1e-60 < previous < 1e-58
+
+
+def test_covolume_bound_infinite_past_float_range():
+    assert math.isfinite(dl.torus_covolume_bound(360, 1.0).covolume_bound)
+    tb = dl.torus_covolume_bound(400, 1.0)
+    assert tb.covolume_bound == math.inf and tb.covolume_grid == math.inf
+    assert tb.density_bound > 0
