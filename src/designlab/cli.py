@@ -201,7 +201,8 @@ def _cmd_design(args, out: Reporter) -> int:
     ok, residuals = designs.verify_design(space, spec, design, args.t, args.tol)
     out.rows([("verified", ok)])
     if not ok:
-        worst = max((r for th, r in residuals if th < args.t), default=0.0)
+        worst = max((r for th, r in residuals
+                     if designs._below(th, args.t, args.tol)), default=0.0)
         print(f"error: design fails strength {args.t:g} "
               f"(max residual {worst:.3e})")
         return 1

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import DEFAULT_TOL, Space, SpectralData
+from .spaces import DEFAULT_TOL, Records, Space, SpectralData
 from .spectra import SubsetEig, dirichlet_form, sphere_union_eigen, subset_eigen
 
 STRENGTH_UNBOUNDED = math.inf
@@ -49,27 +49,37 @@ def make_design(points, weights=None, n_vertices: int | None = None) -> Design:
         weights = np.asarray(list(weights), dtype=int)
     if len(points) == 0:
         raise ValueError("design is empty")
-    if len(np.unique(points)) != len(points):
-        raise ValueError("duplicate design points; use weights instead")
-    if (weights < 1).any():
-        raise ValueError("weights must be >= 1")
-    if n_vertices is not None and (points.min() < 0 or points.max() >= n_vertices):
-        raise ValueError("design point out of range")
+    fault = _design_fault(points, weights, n_vertices)
+    if fault is not None:
+        raise ValueError(fault[1])
     order = np.argsort(points)
     return Design(points=points[order], weights=weights[order])
 
 
+def _design_fault(points: np.ndarray, weights: np.ndarray, n_vertices: int | None):
+    """(index, reason) of the first entry ``make_design`` rejects, or None."""
+    top = math.inf if n_vertices is None else n_vertices
+    _, first, inverse = np.unique(points, return_index=True, return_inverse=True)
+    faults = {"duplicate design points; use weights instead":
+              first[inverse] != np.arange(len(points)),
+              "weights must be >= 1": weights < 1,
+              "design point out of range": (points < 0) | (points >= top)}
+    return min(((int(np.argmax(bad)), reason) for reason, bad in faults.items()
+                if bad.any()), default=None)
+
+
 def load_design(path: str, n_vertices: int | None = None) -> Design:
-    """Read a design file: one ``<vertex-id> [weight]`` per line."""
-    pts, wts = [], []
-    with open(path, encoding="utf-8") as fh:
-        for ln in fh:
-            tok = ln.split()
-            if not tok or tok[0].startswith("#"):
-                continue
-            pts.append(int(tok[0]))
-            wts.append(int(tok[1]) if len(tok) > 1 else 1)
-    return make_design(pts, wts, n_vertices)
+    """Read a design file: one ``<vertex> [weight]`` record per line."""
+    rec = Records(path)
+    if not rec.tokens:
+        raise ValueError(f"{path}: empty design file")
+    # a record without a weight has weight 1
+    points, weights = np.array([(rec.ints(i, None, "vertex [weight]") + [1])[:2]
+                                for i in range(len(rec.tokens))]).T
+    fault = _design_fault(points, weights, n_vertices)
+    if fault is not None:
+        raise rec.error(*fault)
+    return make_design(points, weights, n_vertices)
 
 
 @dataclass(frozen=True)
@@ -265,32 +275,20 @@ def translations_to_origin(space: Space, design: Design,
     return IsometryAction(permutations=perms, validated=True)
 
 
-def _int_at(path: str, lineno: int, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: {text!r} is not an integer") from None
-
-
 def load_isometries(path: str, space: Space, design: Design,
                     origin: int = 0) -> IsometryAction:
     """Read an isometry file: ``perm <N>`` then N image lines per point."""
     n = space.n_vertices
-    with open(path, encoding="utf-8") as fh:
-        lines = [(no, ln.split()) for no, ln in enumerate(fh, 1)
-                 if ln.strip() and not ln.startswith("#")]
+    rec = Records(path)
     perms = []
     pos = 0
-    while pos < len(lines):
-        lineno, head = lines[pos]
-        if head[0] != "perm" or len(head) != 2 or _int_at(path, lineno, head[1]) != n:
-            raise ValueError(f"{path}:{lineno}: expected 'perm {n}' header "
-                             f"at block {len(perms)}")
-        block = lines[pos + 1:pos + 1 + n]
-        if len(block) != n:
-            raise ValueError(f"{path}:{lineno}: truncated permutation block "
-                             f"{len(perms)}")
-        perms.append([_int_at(path, no, tok[0]) for no, tok in block])
+    while pos < len(rec.tokens):
+        head = rec.tokens[pos]
+        if head[0] != "perm" or len(head) != 2 or rec.int_at(pos, head[1]) != n:
+            raise rec.error(pos, f"expected 'perm {n}' header at block {len(perms)}")
+        if pos + 1 + n > len(rec.tokens):
+            raise rec.error(pos, f"truncated permutation block {len(perms)}")
+        perms.append(rec.table(None, "image", pos + 1, pos + 1 + n)[:, 0])
         pos += 1 + n
     if len(perms) != len(design.points):
         raise ValueError(
@@ -361,7 +359,7 @@ def verify_cover_chain(space: Space, spectral: SpectralData, design: Design,
     union = np.zeros(n, dtype=bool)
     for perm in action.permutations:
         union |= in_omega[perm]               # x is in tau_i^{-1}(Omega)
-    supp = np.abs(F) > 1e-9 * np.abs(F).max()
+    supp = np.abs(F) > tol * np.abs(F).max()
 
     chain = (
         float(design.size * len(omega)),
@@ -394,7 +392,7 @@ def verify_cover_chain(space: Space, spectral: SpectralData, design: Design,
         raise RuntimeError(f"covering chain not nonincreasing: {chain}")
     if lhs > rhs + tol * max(1.0, ff):
         raise RuntimeError(f"Dirichlet inequality fails: {lhs} > {rhs}")
-    if max_res > 1e-8:
+    if max_res > tol:
         raise RuntimeError(f"F is not design-like: residual {max_res:.3e}")
     return report
 

@@ -17,7 +17,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -166,8 +166,8 @@ def _finish_space(kind, classes, m, laplacian_class, labels=None,
 def _intersection_numbers_regular(classes: np.ndarray, m: int) -> np.ndarray:
     """p^k_ij read off one representative pair per class.
 
-    Correct for genuine schemes (built-ins); ``validate_scheme`` performs
-    the full constancy check.
+    Correct for genuine schemes; ``validate_scheme`` checks the values
+    against every pair.
     """
     n = classes.shape[0]
     p = np.zeros((m + 1, m + 1, m + 1), dtype=int)
@@ -275,6 +275,68 @@ def build_named_space(spec: str, laplacian_class: int = 1) -> Space:
 # file format
 
 
+def _is_record(line: str) -> bool:
+    """Data files skip blank lines and comments: lines whose first character is '#'."""
+    return not (line.isspace() or line.startswith("#"))
+
+
+class Records:
+    """The records of a data file as token lists, for all four loaders.
+
+    Line numbers are not kept: ``error`` reads the file again to find one.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        with open(path, encoding="utf-8") as fh:
+            self.tokens = [ln.split() for ln in fh if _is_record(ln)]
+
+    def error(self, index: int, message: str) -> SchemeError:
+        """A ``PATH:LINE: message`` error for record ``index``."""
+        with open(self.path, encoding="utf-8") as fh:
+            lineno = [no for no, ln in enumerate(fh, 1) if _is_record(ln)][index]
+        return SchemeError(f"{self.path}:{lineno}: {message}")
+
+    def int_at(self, index: int, text: str) -> int:
+        """Token ``text`` of record ``index`` as an integer."""
+        try:
+            return int(np.int64(text))
+        except (ValueError, OverflowError):
+            raise self.error(
+                index, f"{text!r} is not an integer in the 64-bit range") from None
+
+    def ints(self, index: int, keyword: str | None, fields: str) -> list[int]:
+        """Record ``index`` as ``keyword`` (if any) and one integer per name
+        in ``fields``; bracketed names are optional."""
+        tok = self.tokens[index]
+        values = tok[1:] if keyword else tok
+        most = len(fields.split())
+        least = most - fields.count("[")
+        if (keyword and tok[0] != keyword) or not least <= len(values) <= most:
+            form = f"{keyword} {fields}" if keyword else fields
+            raise self.error(index, f"expected '{form}', found '{' '.join(tok)}'")
+        return [self.int_at(index, text) for text in values]
+
+    def table(self, keyword: str | None, fields: str, start: int = 0,
+              stop: int | None = None) -> np.ndarray:
+        """``ints`` of records ``start:stop`` as one array, converted in one
+        go unless a record is malformed."""
+        rows = self.tokens[start:stop]
+        count = len(fields.split())
+        width = count + bool(keyword)
+        flat = list(chain.from_iterable(rows))
+        heads = set(flat[::width]) if keyword else {None}  # when all are width long
+        if set(map(len, rows)) <= {width} and heads <= {keyword}:
+            if keyword:
+                del flat[::width]
+            try:
+                return np.array(flat, dtype=np.int64).reshape(len(rows), count)
+            except (ValueError, OverflowError):
+                pass
+        return np.array([self.ints(i, keyword, fields)
+                         for i in range(start, start + len(rows))], dtype=np.int64)
+
+
 def load_space(path: str, laplacian_class: int = 1) -> Space:
     """Load a space file.
 
@@ -282,48 +344,46 @@ def load_space(path: str, laplacian_class: int = 1) -> Space:
     pair, or ``graph <N>`` followed by ``edge <u> <v>`` lines.  Scheme files
     are validated against the scheme axioms on load.
     """
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.split() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines:
+    rec = Records(path)
+    if not rec.tokens:
         raise SchemeError(f"{path}: empty space file")
-    header = lines[0]
-    if header[0] == "scheme":
-        if len(header) != 3:
-            raise SchemeError(f"{path}: bad scheme header")
-        n, m = int(header[1]), int(header[2])
-        classes = -np.ones((n, n), dtype=int)
-        np.fill_diagonal(classes, 0)
-        for tok in lines[1:]:
-            if tok[0] != "rel" or len(tok) != 4:
-                raise SchemeError(f"{path}: bad line {' '.join(tok)!r}")
-            u, v, c = int(tok[1]), int(tok[2]), int(tok[3])
-            if not (0 <= u < n and 0 <= v < n and 1 <= c <= m and u != v):
-                raise SchemeError(f"{path}: bad rel line {u} {v} {c}")
-            classes[u, v] = classes[v, u] = c
-        if (classes < 0).any():
-            u, v = np.argwhere(classes < 0)[0]
-            raise SchemeError(f"{path}: pair ({u},{v}) has no classification")
-        space = _finish_space("scheme", classes, m, laplacian_class)
-        report = validate_scheme(space)
-        if not report.valid:
-            raise SchemeError(f"{path}: scheme axiom violation: {report.failures[0]}")
-        return dataclasses.replace(
-            space, intersection_numbers=report.intersection_numbers)
-    if header[0] == "graph":
-        if len(header) != 2:
-            raise SchemeError(f"{path}: bad graph header")
-        n = int(header[1])
-        classes = np.full((n, n), 2, dtype=int)
-        np.fill_diagonal(classes, 0)
-        for tok in lines[1:]:
-            if tok[0] != "edge" or len(tok) != 3:
-                raise SchemeError(f"{path}: bad line {' '.join(tok)!r}")
-            u, v = int(tok[1]), int(tok[2])
-            if not (0 <= u < n and 0 <= v < n and u != v):
-                raise SchemeError(f"{path}: bad edge {u} {v}")
-            classes[u, v] = classes[v, u] = 1
+    kind = rec.tokens[0][0]
+    if kind not in ("scheme", "graph"):
+        raise rec.error(0, f"unknown header {kind!r}")
+    if kind == "scheme":
+        n, m = rec.ints(0, "scheme", "N m")
+    else:
+        (n,) = rec.ints(0, "graph", "N")
+        m = 2                               # equal, adjacent, other
+    if not 1 <= n <= SIZE_CAP:
+        raise rec.error(0, f"N = {n} is outside 1..{SIZE_CAP}")
+    if kind == "scheme" and not 1 <= m < n:
+        raise rec.error(0, f"m = {m} is outside 1..N-1")
+    if kind == "scheme":
+        u, v, c = rec.table("rel", "u v c", 1).T
+    else:
+        u, v = rec.table("edge", "u v", 1).T
+        c = 1
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = (lo < 0) | (hi >= n) | (lo == hi) | (c < 1) | (c > m)
+    if bad.any():
+        i = 1 + int(np.argmax(bad))
+        raise rec.error(i, f"'{' '.join(rec.tokens[i])}' is a loop or out of range")
+    classes = np.full((n, n), -1 if kind == "scheme" else 2)
+    np.fill_diagonal(classes, 0)
+    classes[lo, hi] = c                 # a pair listed twice keeps one class,
+    classes[hi, lo] = c                 # the same in both triangles
+    if kind == "graph":
         return _finish_space("graph", classes, 2, laplacian_class)
-    raise SchemeError(f"{path}: unknown header {header[0]!r}")
+    if (classes < 0).any():
+        u, v = np.argwhere(classes < 0)[0]
+        raise SchemeError(f"{path}: pair ({u},{v}) has no classification")
+    space = _finish_space("scheme", classes, m, laplacian_class)
+    report = validate_scheme(space)
+    if not report.valid:
+        raise SchemeError(f"{path}: scheme axiom violation: {report.failures[0]}")
+    return dataclasses.replace(
+        space, intersection_numbers=report.intersection_numbers)
 
 
 def save_space(space: Space, path: str) -> None:
@@ -350,13 +410,19 @@ def save_space(space: Space, path: str) -> None:
 def validate_scheme(space: Space) -> ValidationReport:
     """Check the symmetric association scheme axioms exhaustively.
 
-    Violations are reported with concrete witnesses; on success the report
-    carries the intersection numbers p^k_ij.
+    p^k_ij is read off one pair per class and compared with A_i A_j at
+    every pair.  Violations are reported with concrete witnesses; on
+    success the report carries the intersection numbers p^k_ij.
     """
     classes = space.classes
     n, m = space.n_vertices, space.n_classes
     failures: list[str] = []
 
+    outside = (classes < 0) | (classes > m)
+    if outside.any():
+        x, y = np.argwhere(outside)[0]
+        return ValidationReport(False, [f"pair ({x},{y}) in class {classes[x, y]}, "
+                                        f"outside 0..{m}"])
     if (np.diag(classes) != 0).any():
         x = int(np.flatnonzero(np.diag(classes) != 0)[0])
         failures.append(f"diagonal vertex {x} not in class 0")
@@ -378,23 +444,17 @@ def validate_scheme(space: Space) -> ValidationReport:
     if failures:
         return ValidationReport(False, failures)
 
+    p = _intersection_numbers_regular(classes, m)
     adj = [(classes == i).astype(float) for i in range(m + 1)]
-    p = np.zeros((m + 1, m + 1, m + 1), dtype=int)
     for i in range(m + 1):
         for j in range(i, m + 1):
-            prod = np.rint(adj[i] @ adj[j]).astype(int)
-            for k in range(m + 1):
-                mask = classes == k
-                if not mask.any():
-                    continue
-                vals = prod[mask]
-                if vals.min() != vals.max():
-                    x, y = np.argwhere(mask)[0]
-                    failures.append(
-                        f"p^{k}_{{{i},{j}}} not constant: witness triple "
-                        f"(i={i}, j={j}, k={k}) at pair ({x},{y})")
-                else:
-                    p[k, i, j] = p[k, j, i] = int(vals[0])
+            bad = np.rint(adj[i] @ adj[j]) != p[:, i, j][classes]
+            if bad.any():
+                x, y = np.argwhere(bad)[0]
+                k = classes[x, y]
+                failures.append(
+                    f"p^{k}_{{{i},{j}}} not constant: witness triple "
+                    f"(i={i}, j={j}, k={k}) at pair ({x},{y})")
     if failures:
         return ValidationReport(False, failures)
     return ValidationReport(True, [], intersection_numbers=p)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import DEFAULT_TOL, Space, component_labels, quotient_matrix
+from .spaces import DEFAULT_TOL, Records, Space, component_labels, quotient_matrix
 
 
 @dataclass(frozen=True)
@@ -148,9 +148,8 @@ def sphere_union_eigen(space: Space, origin: int, spheres,
 
 
 def load_subset(path: str) -> np.ndarray:
-    """Read a subset file: one vertex id per line."""
-    with open(path, encoding="utf-8") as fh:
-        ids = [int(ln.split()[0]) for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not ids:
+    """Read a subset file: one ``<vertex>`` record per line."""
+    ids = Records(path).table(None, "vertex")[:, 0]
+    if not ids.size:
         raise ValueError(f"{path}: empty subset file")
-    return np.array(sorted(set(ids)), dtype=int)
+    return np.unique(ids)

@@ -18,12 +18,12 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
-from scipy.optimize import brentq, minimize_scalar
-from scipy.special import jv
-
 
 def bessel_first_zero(order: float, max_steps: int = 10_000) -> float:
     """First positive zero of the Bessel function J_order, order >= -1/2."""
+    from scipy.optimize import brentq
+    from scipy.special import jv
+
     if order < -0.5:
         raise ValueError("order must be >= -1/2")
     # J is positive on (0, j_1); march until the sign flips, then refine
@@ -114,6 +114,8 @@ def torus_covolume_bound(dim: int, shortest: float) -> TorusBound:
     closed form is cross-checked against a numeric minimisation.  Above
     the float range the covolume bounds are math.inf.
     """
+    from scipy.optimize import minimize_scalar
+
     if dim < 1 or shortest <= 0:
         raise ValueError("need dim >= 1 and shortest > 0")
     n = dim

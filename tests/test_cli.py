@@ -41,6 +41,17 @@ def test_design_verify_false_exits_1(capsys, tmp_path):
     assert "error:" in out
 
 
+def test_design_verify_reports_the_residual_it_checked(capsys, tmp_path):
+    # t is just above 8: the theta = 8 eigenspace (residual sqrt(70/256)) is
+    # not checked, so the worst checked one is theta = 6, sqrt(56/256)
+    dfile = tmp_path / "d.txt"
+    dfile.write_text("0\n")
+    code, out = run(capsys, "design", "verify", "hamming:n=8,q=2",
+                    "--design", str(dfile), "--t", "8.000000000001")
+    assert code == 1
+    assert "(max residual 4.677e-01)" in out
+
+
 def test_design_strength(capsys, tmp_path):
     dfile = tmp_path / "d.txt"
     dfile.write_text("0\n2\n")

@@ -1,0 +1,84 @@
+"""The shared record reader behind the four file loaders."""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import designlab as dl
+
+LOADERS = {
+    "space": dl.load_space,
+    "design": lambda path: dl.load_design(path, n_vertices=4),
+    "subset": dl.load_subset,
+    "isometries": lambda path: dl.load_isometries(path, dl.cycle(4), dl.make_design([2])),
+}
+
+
+@pytest.mark.parametrize("loader, text, where, what", [
+    # an indented '#' is a record, not a comment, in every format
+    ("subset", "0\n  # an indented comment\n1\n", ":2:", "expected 'vertex', found '#"),
+    ("space", "graph 4\nedge 0 1\n   # an indented comment\nedge 1 2\n", ":3:",
+     "expected 'edge u v', found '#"),
+    ("design", "# c\n0\n  # comment\n", ":3:", "'#' is not an integer"),
+    # non-integer tokens
+    ("subset", "# c\n0\nx\n", ":3:", "'x' is not an integer"),
+    ("space", "scheme 2 1\nrel 0 one 1\n", ":2:", "'one' is not an integer"),
+    ("design", "0 2.5\n", ":1:", "'2.5' is not an integer"),
+    ("subset", "99999999999999999999\n", ":1:", "64-bit range"),
+    # wrong token counts
+    ("design", "0 1 2\n", ":1:", "expected 'vertex [weight]', found '0 1 2'"),
+    ("subset", "3 4\n", ":1:", "expected 'vertex'"),
+    ("space", "scheme 3\n", ":1:", "expected 'scheme N m'"),
+    ("space", "graph 3\nedge 0 1 2\n", ":2:", "expected 'edge u v'"),
+    ("space", "scheme 2 1\n\nrel 0 1\n", ":3:", "expected 'rel u v c'"),
+    ("isometries", "perm 4\n2\n3 1\n0\n1\n", ":3:", "expected 'image'"),
+    # header limits
+    ("space", "graph 0\n", ":1:", "N = 0 is outside 1..4096"),
+    ("space", "scheme 0 1\n", ":1:", "N = 0 is outside 1..4096"),
+    ("space", "graph 100000\n", ":1:", "N = 100000 is outside 1..4096"),
+    ("space", "scheme 3 100000\n", ":1:", "m = 100000 is outside 1..N-1"),
+    ("space", "scheme 3 0\n", ":1:", "m = 0 is outside 1..N-1"),
+    ("space", "# c\nlattice 3\n", ":2:", "unknown header 'lattice'"),
+    # records out of range
+    ("space", "graph 3\nedge 0 1\nedge 0 3\n", ":3:", "'edge 0 3' is a loop or out of range"),
+    ("space", "scheme 2 1\nrel 1 1 1\n", ":2:", "'rel 1 1 1' is a loop or out of range"),
+    ("space", "scheme 2 1\nrel 0 1 2\n", ":2:", "'rel 0 1 2' is a loop or out of range"),
+    ("design", "0\n1 0\n", ":2:", "weights must be >= 1"),
+    ("design", "0\n# c\n4\n", ":3:", "design point out of range"),
+    ("design", "1\n2\n1 3\n", ":3:", "duplicate design points"),
+])
+def test_malformed_record_names_the_line(tmp_path, loader, text, where, what):
+    path = tmp_path / "data.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError) as exc:
+        LOADERS[loader](str(path))
+    assert str(exc.value).startswith(f"{path}{where} ")
+    assert what in str(exc.value)
+
+
+def test_pair_listed_twice_takes_its_last_class(tmp_path):
+    h22 = dl.hamming(2, 2)
+    path = tmp_path / "h22.txt"
+    dl.save_space(h22, str(path))
+    header, body = path.read_text().split("\n", 1)
+    path.write_text(f"{header}\nrel 1 0 2\n{body}")    # (0,1) is class 1 further on
+    assert (dl.load_space(str(path)).classes == h22.classes).all()
+
+
+TOKENS = ["scheme", "graph", "rel", "edge", "perm", "#", "x", "-1", "0", "1", "2",
+          "3", "4", "5000", "99999999999999999999"]
+LINES = st.tuples(st.sampled_from(["", " ", "#"]),
+                  st.lists(st.sampled_from(TOKENS), max_size=4).map(" ".join))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(LINES.map("".join), max_size=12))
+def test_loaders_raise_only_value_or_os_errors(tmp_path, lines):
+    path = tmp_path / "fuzz.txt"
+    path.write_text("\n".join(lines))
+    for load in LOADERS.values():
+        try:
+            load(str(path))
+        except (ValueError, OSError):
+            pass

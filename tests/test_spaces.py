@@ -86,6 +86,18 @@ def test_load_missing_pair(tmp_path):
         dl.load_space(str(path))
 
 
+def test_load_scheme_names_a_pair_that_breaks_p_k_ij(tmp_path):
+    # C6 with classes {adjacent, non-adjacent}: the distance-2 pair (0,2) has
+    # one common neighbour, the distance-3 pair (0,3) none
+    c6 = dl.cycle(6)
+    path = tmp_path / "c6.txt"
+    path.write_text("scheme 6 2\n" + "".join(
+        f"rel {u} {v} {1 if c6.classes[u, v] == 1 else 2}\n"
+        for u in range(6) for v in range(u + 1, 6)))
+    with pytest.raises(dl.SchemeError, match=r"p\^2_\{1,1\} not constant.* pair \(0,3\)"):
+        dl.load_space(str(path))
+
+
 def test_validate_hamming(h32):
     rep = dl.validate_scheme(h32)
     assert rep.valid
@@ -106,6 +118,14 @@ def test_validate_irregular_graph():
     rep = dl.validate_scheme(space)
     assert not rep.valid
     assert any("vertex 1" in f for f in rep.failures)
+
+
+def test_validate_class_outside_range():
+    classes = np.array([[0, 1, 5], [1, 0, 1], [5, 1, 0]])
+    space = dl.Space(kind="scheme", n_vertices=3, n_classes=2,
+                     classes=classes, valencies=np.array([1, 1, 1]))
+    rep = dl.validate_scheme(space)
+    assert rep.failures == ["pair (0,2) in class 5, outside 0..2"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,3 +161,12 @@ def test_covolume_bound_infinite_past_float_range():
     tb = dl.torus_covolume_bound(400, 1.0)
     assert tb.covolume_bound == math.inf and tb.covolume_grid == math.inf
     assert tb.density_bound > 0
+
+
+def test_import_leaves_scipy_unloaded():
+    probe = ("import sys, designlab; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
