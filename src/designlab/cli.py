@@ -50,7 +50,9 @@ def _global_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-9)
     parser.add_argument("--format", choices=("text", "csv"), default="text")
     parser.add_argument("--threads", type=int, default=0,
-                        help="0 = auto; results are thread-count independent")
+                        help="checked to be >= 0, no other effect; BLAS threads come "
+                        "from OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, set before "
+                        "Python starts; results do not depend on them")
     parser.add_argument("--relation", type=int, default=1,
                         help="relation class defining the Laplacian")
     parser.add_argument("--origin", type=int, default=0)
@@ -158,8 +160,8 @@ def _cmd_spectrum(args, out: Reporter) -> int:
 def _cmd_subset_eig(args, out: Reporter) -> int:
     space = _load(args)
     if args.set_file is not None:
-        eig = spectra.subset_eigen(space, spectra.load_subset(args.set_file),
-                                   args.tol)
+        omega = spectra.load_subset(args.set_file, space.n_vertices)
+        eig = spectra.subset_eigen(space, omega, args.tol)
     else:
         eig = spectra.sphere_union_eigen(space, args.origin,
                                          _spheres_arg(args, space), args.tol)
@@ -201,8 +203,7 @@ def _cmd_design(args, out: Reporter) -> int:
     ok, residuals = designs.verify_design(space, spec, design, args.t, args.tol)
     out.rows([("verified", ok)])
     if not ok:
-        worst = max((r for th, r in residuals
-                     if designs._below(th, args.t, args.tol)), default=0.0)
+        worst = designs.worst_residual(residuals, args.t, args.tol)
         print(f"error: design fails strength {args.t:g} "
               f"(max residual {worst:.3e})")
         return 1
@@ -222,9 +223,8 @@ def _cmd_bound(args, out: Reporter) -> int:
         out.table(["radius", "lambda", "vol_omega", "bound", "vacuous"], rows)
         return 0
     if args.set_file is not None:
-        rep = designs.design_bound(space, spec, args.t,
-                                   subset=spectra.load_subset(args.set_file),
-                                   tol=args.tol)
+        subset = spectra.load_subset(args.set_file, space.n_vertices)
+        rep = designs.design_bound(space, spec, args.t, subset=subset, tol=args.tol)
     else:
         rep = designs.design_bound(space, spec, args.t,
                                    spheres=_spheres_arg(args, space),

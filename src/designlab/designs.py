@@ -93,6 +93,12 @@ def _below(theta: float, t: float, tol: float) -> bool:
     return theta < t - tol * max(1.0, t)
 
 
+def worst_residual(residuals, t: float, tol: float = DEFAULT_TOL) -> float:
+    """Largest residual over the eigenspaces ``_below`` t, or 0.0 if none."""
+    return max((res for theta, res in residuals if _below(theta, t, tol)),
+               default=0.0)
+
+
 def _eigenspace_residuals(spectral: SpectralData, w: np.ndarray):
     norm = np.linalg.norm(w)
     out = []
@@ -112,8 +118,7 @@ def verify_design(space: Space, spectral: SpectralData, design: Design,
     if t <= 0:
         raise ValueError("t must be positive")
     residuals = _eigenspace_residuals(spectral, design.indicator(space.n_vertices))
-    ok = all(res <= tol for theta, res in residuals if _below(theta, t, tol))
-    return ok, residuals
+    return worst_residual(residuals, t, tol) <= tol, residuals
 
 
 def design_strength(space: Space, spectral: SpectralData, design: Design,
@@ -207,10 +212,10 @@ class IsometryAction:
 _CHECK_CHUNK = 1 << 20      # class-matrix entries compared at a time
 
 
-def _validate_action(space: Space, design: Design, origin: int,
-                     perms: np.ndarray) -> None:
-    """Check every permutation exhaustively: a bijection taking its design
-    point to the origin and preserving the class of every vertex pair.
+def _validate_action(space: Space, design: Design, origin: int, perms: np.ndarray):
+    """(index, reason) of the first permutation that is not a bijection
+    taking its design point to the origin and preserving the class of every
+    vertex pair, or None.  Every permutation is checked exhaustively.
 
     Rows are compared in chunks, so peak memory stays near
     ``_CHECK_CHUNK`` entries whatever N is.
@@ -220,13 +225,14 @@ def _validate_action(space: Space, design: Design, origin: int,
     step = max(1, _CHECK_CHUNK // n)
     for i, (y, perm) in enumerate(zip(design.points, perms)):
         if not np.array_equal(np.sort(perm), np.arange(n)):
-            raise ValueError(f"isometry {i} is not a permutation")
+            return i, f"isometry {i} is not a permutation"
         if perm[y] != origin:
-            raise ValueError(f"isometry {i} does not map point {y} to the origin")
+            return i, f"isometry {i} does not map point {y} to the origin"
         for lo in range(0, n, step):
             rows = slice(lo, lo + step)
             if (classes[np.ix_(perm[rows], perm)] != classes[rows]).any():
-                raise ValueError(f"isometry {i} does not preserve relations")
+                return i, f"isometry {i} does not preserve relations"
+    return None
 
 
 def translations_to_origin(space: Space, design: Design,
@@ -271,7 +277,9 @@ def translations_to_origin(space: Space, design: Design,
         raise ValueError(
             f"no built-in isometry action for kind {space.kind!r}; "
             "supply an isometry file")
-    _validate_action(space, design, origin, perms)
+    fault = _validate_action(space, design, origin, perms)
+    if fault is not None:
+        raise ValueError(fault[1])
     return IsometryAction(permutations=perms, validated=True)
 
 
@@ -294,7 +302,9 @@ def load_isometries(path: str, space: Space, design: Design,
         raise ValueError(
             f"{path}: {len(perms)} permutations for {len(design.points)} points")
     perms = np.array(perms, dtype=int)
-    _validate_action(space, design, origin, perms)
+    fault = _validate_action(space, design, origin, perms)
+    if fault is not None:               # block i's header is record i * (N + 1)
+        raise rec.error(fault[0] * (n + 1), fault[1])
     return IsometryAction(permutations=perms, validated=True)
 
 
@@ -371,9 +381,7 @@ def verify_cover_chain(space: Space, spectral: SpectralData, design: Design,
     f1 = float(F.sum())
     lhs = dirichlet_form(space, F)
     rhs = lam * ff
-    residuals = _eigenspace_residuals(spectral, F)
-    max_res = max((res for theta, res in residuals if _below(theta, t, tol)),
-                  default=0.0)
+    max_res = worst_residual(_eigenspace_residuals(spectral, F), t, tol)
     report = CoverReport(
         F=F,
         chain=chain,

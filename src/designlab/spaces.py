@@ -11,7 +11,6 @@ eigensolve.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import re
 from collections.abc import Callable
@@ -35,8 +34,8 @@ class Space:
 
     ``classes[x, y]`` is the relation class of the pair (x, y); class 0 is
     the diagonal.  ``valencies[i]`` counts the class-i partners of any
-    vertex.  ``intersection_numbers[k, i, j]`` is p^k_ij when the scheme
-    structure has been established (None otherwise).
+    vertex.  ``intersection_numbers[k, i, j]`` is p^k_ij, present for every
+    scheme this module builds and None for graphs.
     """
 
     kind: str                      # "graph", "scheme", "hamming", "johnson", "cycle"
@@ -141,8 +140,7 @@ def _check_connected(classes: np.ndarray, r: int) -> None:
         )
 
 
-def _finish_space(kind, classes, m, laplacian_class, labels=None,
-                  intersection_numbers=None) -> Space:
+def _finish_space(kind, classes, m, laplacian_class, labels=None) -> Space:
     n = classes.shape[0]
     counts = np.stack([(classes == i).sum(axis=1) for i in range(m + 1)], axis=1)
     if not (counts == counts[0]).all():
@@ -151,6 +149,7 @@ def _finish_space(kind, classes, m, laplacian_class, labels=None,
     if not 1 <= laplacian_class <= m:
         raise SchemeError(f"laplacian class {laplacian_class} out of range 1..{m}")
     _check_connected(classes, laplacian_class)
+    p = None if kind == "graph" else _intersection_numbers(classes, m)
     return Space(
         kind=kind,
         n_vertices=n,
@@ -158,28 +157,23 @@ def _finish_space(kind, classes, m, laplacian_class, labels=None,
         classes=classes,
         valencies=counts[0].copy(),
         laplacian_class=laplacian_class,
-        intersection_numbers=intersection_numbers,
+        intersection_numbers=p,
         labels=labels,
     )
 
 
-def _intersection_numbers_regular(classes: np.ndarray, m: int) -> np.ndarray:
-    """p^k_ij read off one representative pair per class.
+def _intersection_numbers(classes: np.ndarray, m: int) -> np.ndarray:
+    """p^k_ij read off the pair (0, y), y the first class-k vertex in row 0.
 
-    Correct for genuine schemes; ``validate_scheme`` checks the values
-    against every pair.
+    The space must be regular, so that every class that occurs occurs in
+    row 0.  Correct for genuine schemes; ``validate_scheme`` checks the
+    values against every pair.
     """
-    n = classes.shape[0]
-    p = np.zeros((m + 1, m + 1, m + 1), dtype=int)
-    for k in range(m + 1):
-        pair = np.argwhere(classes == k)
-        if len(pair) == 0:
-            continue
-        x, y = pair[0]
-        hist = np.zeros((m + 1, m + 1), dtype=int)
-        np.add.at(hist, (classes[x], classes[y]), 1)
-        p[k] = hist
-    return p
+    p = np.zeros((m + 1, (m + 1) ** 2), dtype=int)
+    row = classes[0] * (m + 1)
+    for k, y in zip(*np.unique(classes[0], return_index=True)):
+        p[k] = np.bincount(row + classes[y], minlength=(m + 1) ** 2)
+    return p.reshape(m + 1, m + 1, m + 1)
 
 
 def hamming(n: int, q: int, laplacian_class: int = 1) -> Space:
@@ -195,10 +189,8 @@ def hamming(n: int, q: int, laplacian_class: int = 1) -> Space:
         raise SchemeError(f"hamming({n},{q}) has {size} vertices > cap {SIZE_CAP}")
     digits = (np.arange(size)[:, None] // q ** np.arange(n)[None, :]) % q
     classes = (digits[:, None, :] != digits[None, :, :]).sum(axis=2)
-    p = _intersection_numbers_regular(classes, n)
     return _finish_space("hamming", classes, n, laplacian_class,
-                         labels=tuple(map(tuple, digits)),
-                         intersection_numbers=p)
+                         labels=tuple(map(tuple, digits)))
 
 
 def _colex_rank(subset: tuple[int, ...]) -> int:
@@ -223,9 +215,8 @@ def johnson(n: int, w: int, laplacian_class: int = 1) -> Space:
         masks[v, [e - 1 for e in s]] = True
     inter = masks.astype(int) @ masks.astype(int).T
     classes = w - inter
-    p = _intersection_numbers_regular(classes, w)
     return _finish_space("johnson", classes, w, laplacian_class,
-                         labels=tuple(subsets), intersection_numbers=p)
+                         labels=tuple(subsets))
 
 
 def cycle(n: int, laplacian_class: int = 1) -> Space:
@@ -235,10 +226,7 @@ def cycle(n: int, laplacian_class: int = 1) -> Space:
     idx = np.arange(n)
     diff = np.abs(idx[:, None] - idx[None, :])
     classes = np.minimum(diff, n - diff)
-    m = n // 2
-    p = _intersection_numbers_regular(classes, m)
-    return _finish_space("cycle", classes, m, laplacian_class,
-                         intersection_numbers=p)
+    return _finish_space("cycle", classes, n // 2, laplacian_class)
 
 
 def build_named_space(spec: str, laplacian_class: int = 1) -> Space:
@@ -382,8 +370,7 @@ def load_space(path: str, laplacian_class: int = 1) -> Space:
     report = validate_scheme(space)
     if not report.valid:
         raise SchemeError(f"{path}: scheme axiom violation: {report.failures[0]}")
-    return dataclasses.replace(
-        space, intersection_numbers=report.intersection_numbers)
+    return space
 
 
 def save_space(space: Space, path: str) -> None:
@@ -444,7 +431,7 @@ def validate_scheme(space: Space) -> ValidationReport:
     if failures:
         return ValidationReport(False, failures)
 
-    p = _intersection_numbers_regular(classes, m)
+    p = _intersection_numbers(classes, m)
     adj = [(classes == i).astype(float) for i in range(m + 1)]
     for i in range(m + 1):
         for j in range(i, m + 1):

@@ -141,15 +141,19 @@ def sphere_union_eigen(space: Space, origin: int, spheres,
     Takes the quotient route when the space carries intersection numbers,
     and dense restriction otherwise (explicit graphs).
     """
-    if space.is_scheme and space.intersection_numbers is not None:
+    if space.intersection_numbers is not None:
         return spherical_subset_eigen(space, origin, spheres, tol)
     omega = np.flatnonzero(np.isin(space.classes[origin], list(spheres)))
     return subset_eigen(space, omega, tol)
 
 
-def load_subset(path: str) -> np.ndarray:
+def load_subset(path: str, n_vertices: int | None = None) -> np.ndarray:
     """Read a subset file: one ``<vertex>`` record per line."""
-    ids = Records(path).table(None, "vertex")[:, 0]
+    rec = Records(path)
+    ids = rec.table(None, "vertex")[:, 0]
     if not ids.size:
         raise ValueError(f"{path}: empty subset file")
+    bad = (ids < 0) | (ids >= (np.inf if n_vertices is None else n_vertices))
+    if bad.any():
+        raise rec.error(int(np.argmax(bad)), "subset vertex out of range")
     return np.unique(ids)

@@ -175,3 +175,15 @@ def test_csv_determinism_across_threads(capsys):
         assert code == 0
         outs.append(out.encode())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("command", [
+    ("subset-eig", "hamming:n=4,q=2"),
+    ("bound", "hamming:n=4,q=2", "--t", "2"),
+])
+def test_out_of_range_subset_names_the_line(capsys, tmp_path, command):
+    sfile = tmp_path / "s.txt"
+    sfile.write_text("0\n99\n")
+    code, out = run(capsys, *command, "--set", str(sfile))
+    assert code == 1
+    assert out == f"error: {sfile}:2: subset vertex out of range\n"

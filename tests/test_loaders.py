@@ -10,6 +10,7 @@ LOADERS = {
     "space": dl.load_space,
     "design": lambda path: dl.load_design(path, n_vertices=4),
     "subset": dl.load_subset,
+    "subset of 4": lambda path: dl.load_subset(path, n_vertices=4),
     "isometries": lambda path: dl.load_isometries(path, dl.cycle(4), dl.make_design([2])),
 }
 
@@ -46,6 +47,13 @@ LOADERS = {
     ("design", "0\n1 0\n", ":2:", "weights must be >= 1"),
     ("design", "0\n# c\n4\n", ":3:", "design point out of range"),
     ("design", "1\n2\n1 3\n", ":3:", "duplicate design points"),
+    ("subset of 4", "0\n99\n", ":2:", "subset vertex out of range"),
+    ("subset", "# c\n0\n-1\n", ":3:", "subset vertex out of range"),
+    # isometry blocks that fail the action check: the line of their header
+    ("isometries", "# c\nperm 4\n0\n0\n0\n0\n", ":2:", "isometry 0 is not a permutation"),
+    ("isometries", "perm 4\n0\n1\n2\n3\n", ":1:",
+     "isometry 0 does not map point 2 to the origin"),
+    ("isometries", "perm 4\n1\n3\n0\n2\n", ":1:", "isometry 0 does not preserve relations"),
 ])
 def test_malformed_record_names_the_line(tmp_path, loader, text, where, what):
     path = tmp_path / "data.txt"
@@ -54,6 +62,14 @@ def test_malformed_record_names_the_line(tmp_path, loader, text, where, what):
         LOADERS[loader](str(path))
     assert str(exc.value).startswith(f"{path}{where} ")
     assert what in str(exc.value)
+
+
+def test_second_isometry_block_names_its_header(tmp_path):
+    path = tmp_path / "perms.txt"
+    path.write_text("perm 4\n2\n3\n0\n1\n# second block\nperm 4\n1\n0\n3\n2\n")
+    with pytest.raises(ValueError) as exc:
+        dl.load_isometries(str(path), dl.cycle(4), dl.make_design([2, 3]))
+    assert str(exc.value) == f"{path}:7: isometry 1 does not map point 3 to the origin"
 
 
 def test_pair_listed_twice_takes_its_last_class(tmp_path):

@@ -212,6 +212,36 @@ def test_intersection_number_symmetry():
                 assert n[i] * p[i, r, j] == n[j] * p[j, r, i]
 
 
+def _brute_force_intersection_numbers(classes, m):
+    """counts[x, y, i, j] = #{z : c(x,z) = i, c(z,y) = j}."""
+    onehot = (classes[:, :, None] == np.arange(m + 1)).astype(int)
+    return np.einsum("xzi,zyj->xyij", onehot, onehot)
+
+
+def _saved_and_loaded(tmp_path):
+    path = tmp_path / "j63.txt"
+    dl.save_space(dl.johnson(6, 3), str(path))
+    return dl.load_space(str(path))
+
+
+@pytest.mark.parametrize("make", [
+    lambda tmp: dl.hamming(3, 2),
+    lambda tmp: dl.hamming(4, 3),
+    lambda tmp: dl.johnson(6, 3),
+    lambda tmp: dl.johnson(7, 3),
+    lambda tmp: dl.cycle(7),
+    lambda tmp: dl.cycle(8),
+    _saved_and_loaded,
+])
+def test_intersection_numbers_match_brute_force(tmp_path, make):
+    space = make(tmp_path)
+    p = space.intersection_numbers
+    assert p.dtype == np.dtype(int)
+    counts = _brute_force_intersection_numbers(space.classes, space.n_classes)
+    assert (counts == p[space.classes]).all()      # every pair (x, y), k = c(x, y)
+    assert (dl.validate_scheme(space).intersection_numbers == p).all()
+
+
 def test_grouping_ambiguity_reported():
     # eigenvalues of C_6 are {0,1,1,3,3,4}; a tolerance whose 10x window
     # spans the unit gap must be refused, not resolved by guessing
