@@ -137,13 +137,12 @@ def _cmd_space(args, out: Reporter) -> int:
     if args.action == "info":
         out.rows(pairs)
         return 0
-    report = spaces.validate_scheme(space)
-    out.rows(pairs + [("valid", report.valid)])
-    if not report.valid:
-        for failure in report.failures:
-            print(f"error: {failure}")
-        return 1
-    return 0
+    # load_space validates a scheme file as it reads it
+    failures = [] if space.kind == "scheme" else spaces.validate_scheme(space).failures
+    out.rows(pairs + [("valid", not failures)])
+    for failure in failures:
+        print(f"error: {failure}")
+    return 1 if failures else 0
 
 
 def _cmd_spectrum(args, out: Reporter) -> int:

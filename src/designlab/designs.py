@@ -11,7 +11,6 @@ translated copies of Omega's first eigenfunction and checking the chain
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -143,15 +142,12 @@ class BoundReport:
     subset_eig: SubsetEig = field(repr=False, default=None)
 
 
-def _bound_from_eig(space: Space, t: float, desc: str, eig: SubsetEig,
-                    tol: float = DEFAULT_TOL) -> BoundReport:
-    n = space.n_vertices
-    vol = int(len(eig.omega))
-    vacuous = eig.value >= t - tol
-    bound = 0.0 if vacuous else (t - eig.value) / t * n / vol
-    return BoundReport(t=t, omega=desc, lam=eig.value, vol_omega=vol,
-                       vol_space=n, bound=bound, vacuous=vacuous,
-                       subset_eig=eig)
+def _bound_report(t: float, desc: str, lam: float, vol: int, n: int, tol: float,
+                  eig: SubsetEig | None = None) -> BoundReport:
+    vacuous = lam >= t - tol
+    bound = 0.0 if vacuous else (t - lam) / t * n / vol
+    return BoundReport(t=t, omega=desc, lam=lam, vol_omega=vol, vol_space=n,
+                       bound=bound, vacuous=vacuous, subset_eig=eig)
 
 
 def design_bound(space: Space, spectral: SpectralData, t: float,
@@ -172,21 +168,29 @@ def design_bound(space: Space, spectral: SpectralData, t: float,
     else:
         eig = subset_eigen(space, subset, tol)
         desc = f"set of {len(eig.omega)} vertices"
-    return _bound_from_eig(space, t, desc, eig, tol)
+    return _bound_report(t, desc, eig.value, len(eig.omega), space.n_vertices,
+                         tol, eig)
 
 
 def design_bound_auto(space: Space, spectral: SpectralData, t: float,
                       tol: float = DEFAULT_TOL):
-    """Sweep balls of radius 0..m; returns (reports, best_report).
+    """Sweep balls of radius 0..m around the origin; returns (reports, best_report).
 
-    best maximises the bound; ties go to the smallest radius.  All-vacuous
-    sweeps return best = None.
+    The ball eigenvalues and volumes do not depend on t.  They come from
+    ``spectral.ball_eigen(tol)``, which computes them on the first call for
+    each ``tol`` (the clamp and the block split depend on it) and keeps
+    them, so every further t costs O(m) arithmetic.  The reports carry
+    ``subset_eig=None``; ``design_bound(..., spheres=range(r + 1))`` gives
+    ball r with its Omega and eigenfunction.  best maximises the bound;
+    ties go to the smallest radius.  All-vacuous sweeps return best = None.
     """
+    if t <= 0:
+        raise ValueError("t must be positive")
+    lams, vols = spectral.ball_eigen(tol)
     reports = []
     best = None
-    for radius in range(space.n_classes + 1):
-        rep = design_bound(space, spectral, t, spheres=range(radius + 1), tol=tol)
-        rep = dataclasses.replace(rep, omega=f"ball {radius}")
+    for radius, (lam, vol) in enumerate(zip(lams, vols)):
+        rep = _bound_report(t, f"ball {radius}", lam, vol, space.n_vertices, tol)
         reports.append(rep)
         if not rep.vacuous and (best is None or rep.bound > best.bound + tol):
             best = rep

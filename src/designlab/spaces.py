@@ -15,7 +15,7 @@ import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, combinations
 
 import numpy as np
@@ -83,6 +83,9 @@ class SpectralData:
     eigenspace, and ``zonal[j, i]`` the value of the j-th zonal sphere
     function on class-i vertices (normalised to 1 at the origin).  The
     (k, N, N) projectors are built by ``build_projectors`` when first read.
+    ``ball_eigen(tol)`` is ``spectra.ball_eigenvalues`` at the origin: the
+    Dirichlet eigenvalue and volume of each ball 0..m, built on the first
+    call for each tol and kept.
     """
 
     origin: int
@@ -91,6 +94,8 @@ class SpectralData:
     eigenmatrix: np.ndarray        # (m+1, k)
     zonal: np.ndarray              # (k, m+1)
     build_projectors: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    ball_eigen: Callable[[float], tuple[tuple, tuple]] = field(
+        repr=False, compare=False)
 
     @property
     def n_eigenspaces(self) -> int:
@@ -188,7 +193,9 @@ def hamming(n: int, q: int, laplacian_class: int = 1) -> Space:
     if size > SIZE_CAP:
         raise SchemeError(f"hamming({n},{q}) has {size} vertices > cap {SIZE_CAP}")
     digits = (np.arange(size)[:, None] // q ** np.arange(n)[None, :]) % q
-    classes = (digits[:, None, :] != digits[None, :, :]).sum(axis=2)
+    classes = np.zeros((size, size), dtype=np.int64)
+    for col in digits.T:             # one coordinate at a time: no (N, N, n) array
+        classes += col[:, None] != col[None, :]
     return _finish_space("hamming", classes, n, laplacian_class,
                          labels=tuple(map(tuple, digits)))
 
@@ -527,6 +534,11 @@ def spectral_decomposition(space: Space, origin: int = 0,
     return _graph_spectrum(space, origin, tol)
 
 
+def _ball_eigen(space: Space, origin: int):
+    from .spectra import ball_eigenvalues      # spectra imports this module
+    return cache(lambda tol: ball_eigenvalues(space, origin, tol))
+
+
 def _scheme_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
     """Spectral data from one eigensolve of the (m+1) x (m+1) quotient.
 
@@ -567,6 +579,7 @@ def _scheme_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
         eigenmatrix=eigenmatrix,
         zonal=zonal,
         build_projectors=build_projectors,
+        ball_eigen=_ball_eigen(space, origin),
     )
 
 
@@ -600,6 +613,7 @@ def _graph_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
         eigenmatrix=eigenmatrix,
         zonal=zonal,
         build_projectors=lambda: projectors,
+        ball_eigen=_ball_eigen(space, origin),
     )
 
 

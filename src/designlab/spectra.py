@@ -86,6 +86,15 @@ def _min_block_eigen(matrix: np.ndarray, adjacency: np.ndarray, tol: float):
     return best_val, best_vec
 
 
+def _quotient_eigen(space: Space, sym: np.ndarray, tol: float):
+    """``_min_block_eigen`` of a symmetrised quotient, blocks split where
+    entries are below ``tol`` relative to the degree; value clamped."""
+    adj = np.abs(sym) > tol * max(1.0, space.degree)
+    np.fill_diagonal(adj, True)
+    val, u = _min_block_eigen(sym, adj, tol)
+    return (0.0 if -tol * space.degree < val < 0 else val), u
+
+
 def subset_eigen(space: Space, omega, tol: float = DEFAULT_TOL) -> SubsetEig:
     """Dirichlet eigenvalue of a subset by dense restriction.
 
@@ -119,11 +128,7 @@ def spherical_subset_eigen(space: Space, origin: int, spheres,
     """
     sym, root = quotient_matrix(space, spheres)
     spheres = tuple(sorted(set(int(s) for s in spheres)))
-    adj = np.abs(sym) > tol * max(1.0, space.degree)
-    np.fill_diagonal(adj, True)
-    val, u = _min_block_eigen(sym, adj, tol)
-    if -tol * space.degree < val < 0:
-        val = 0.0
+    val, u = _quotient_eigen(space, sym, tol)
     vals = np.zeros(space.n_classes + 1)
     vals[list(spheres)] = u / root     # back to sphere-function coordinates
     ring = space.classes[origin]
@@ -145,6 +150,22 @@ def sphere_union_eigen(space: Space, origin: int, spheres,
         return spherical_subset_eigen(space, origin, spheres, tol)
     omega = np.flatnonzero(np.isin(space.classes[origin], list(spheres)))
     return subset_eigen(space, omega, tol)
+
+
+def ball_eigenvalues(space: Space, origin: int, tol: float = DEFAULT_TOL):
+    """Dirichlet eigenvalues and volumes, as two tuples, of the balls 0..m
+    around ``origin``.  For a scheme the quotient of ball r is the leading
+    (r+1) x (r+1) block of the quotient on all m+1 spheres, so one quotient
+    serves every radius; explicit graphs go through ``sphere_union_eigen``.
+    """
+    radii = range(space.n_classes + 1)
+    if space.intersection_numbers is None:
+        lams = [sphere_union_eigen(space, origin, range(r + 1), tol).value
+                for r in radii]
+    else:
+        sym, _ = quotient_matrix(space, radii)
+        lams = [_quotient_eigen(space, sym[:r + 1, :r + 1], tol)[0] for r in radii]
+    return tuple(lams), tuple(np.cumsum(space.valencies).tolist())
 
 
 def load_subset(path: str, n_vertices: int | None = None) -> np.ndarray:

@@ -78,6 +78,27 @@ def test_space_info_and_validate(capsys):
     assert "valid = true" in out
 
 
+def test_space_validate_runs_validation_once(capsys, tmp_path, monkeypatch):
+    scheme = tmp_path / "j62.txt"
+    dl.save_space(dl.johnson(6, 2), str(scheme))
+    graph = tmp_path / "c5.txt"
+    graph.write_text("graph 5\n" + "".join(f"edge {v} {(v + 1) % 5}\n" for v in range(5)))
+    calls = []
+    validate = dl.spaces.validate_scheme
+
+    def counting(space):
+        calls.append(space.kind)
+        return validate(space)
+
+    monkeypatch.setattr(dl.spaces, "validate_scheme", counting)
+    for spec, kind in [(f"file:{scheme}", "scheme"), (f"file:{graph}", "graph"),
+                       ("hamming:n=3,q=2", "hamming")]:
+        calls.clear()
+        code, out = run(capsys, "space", "validate", spec)
+        assert code == 0 and "valid = true" in out
+        assert calls == [kind]
+
+
 def test_spectrum(capsys):
     code, out = run(capsys, "spectrum", "cycle:n=4", "--format", "csv")
     assert code == 0

@@ -128,6 +128,20 @@ def test_bound_auto_solves_only_quotients(monkeypatch, capsys):
     assert shapes and max(s[0] for s in shapes) <= 9
 
 
+def test_bound_auto_second_t_solves_nothing(monkeypatch):
+    # ball eigenvalues do not depend on t: the first sweep builds them, the
+    # next sweep on the same SpectralData only does arithmetic
+    shapes = _record_eigh(monkeypatch)
+    for space in (dl.hamming(8, 2), dl.cycle(40)):
+        spec = dl.spectral_decomposition(space)
+        shapes.clear()
+        dl.design_bound_auto(space, spec, 2.5)
+        assert len(shapes) >= space.n_classes + 1
+        shapes.clear()
+        dl.design_bound_auto(space, spec, 0.7)
+        assert shapes == []
+
+
 def test_non_integral_multiplicity_rejected():
     # a loop count p^1_{1,1} = 1 keeps the symmetry n_a p^a_{rb} = n_b p^b_{ra}
     # but no scheme has these intersection numbers
