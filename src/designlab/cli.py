@@ -7,6 +7,7 @@ machine-readable ``error: ...`` line), 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -306,8 +307,8 @@ _DISPATCH = {
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < args.tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {args.tol}")
     if args.threads < 0:
         raise ValueError("threads must be >= 0")
     out = Reporter(args.format)

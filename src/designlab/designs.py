@@ -87,6 +87,11 @@ class StrengthReport:
     per_eigenspace: list[tuple[float, float]]   # (theta_j, ||E_j w_D|| / ||w_D||)
 
 
+def _check_t(t: float) -> None:
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
+
+
 def _below(theta: float, t: float, tol: float) -> bool:
     # strict theta < t, robust to eigensolver noise at theta == t
     return theta < t - tol * max(1.0, t)
@@ -114,8 +119,7 @@ def verify_design(space: Space, spectral: SpectralData, design: Design,
     ok is True iff ||E_j w_D|| <= tol * ||w_D|| for every eigenspace with
     eigenvalue strictly between 0 and t.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_t(t)
     residuals = _eigenspace_residuals(spectral, design.indicator(space.n_vertices))
     return worst_residual(residuals, t, tol) <= tol, residuals
 
@@ -157,8 +161,7 @@ def design_bound(space: Space, spectral: SpectralData, t: float,
     Unions of spheres go through the quotient route when the space carries
     intersection numbers; arbitrary subsets use the dense route.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_t(t)
     if (subset is None) == (spheres is None):
         raise ValueError("give exactly one of subset or spheres")
     if spheres is not None:
@@ -184,8 +187,7 @@ def design_bound_auto(space: Space, spectral: SpectralData, t: float,
     ball r with its Omega and eigenfunction.  best maximises the bound;
     ties go to the smallest radius.  All-vacuous sweeps return best = None.
     """
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_t(t)
     lams, vols = spectral.ball_eigen(tol)
     reports = []
     best = None
@@ -423,8 +425,7 @@ def min_design_search(space: Space, spectral: SpectralData, t: float,
     n = space.n_vertices
     if n > 32 or max_size > 8:
         raise ValueError("search caps: N <= 32 and max_size <= 8")
-    if t <= 0:
-        raise ValueError("t must be positive")
+    _check_t(t)
     active = [j for j in range(1, spectral.n_eigenspaces)
               if _below(spectral.eigenvalues[j], t, tol)]
     if not active:

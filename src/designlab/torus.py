@@ -18,26 +18,25 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass
 
+import numpy as np
 
-def bessel_first_zero(order: float, max_steps: int = 10_000) -> float:
-    """First positive zero of the Bessel function J_order, order >= -1/2."""
-    from scipy.optimize import brentq
-    from scipy.special import jv
 
+def bessel_first_zero(order: float) -> float:
+    """First positive zero of the Bessel function J_order, order >= -1/2.
+
+    Orders -1/2 and 1/2 are pi/2 and pi.  Otherwise 1/lambda_max of the K x K
+    tridiagonal matrix with zero diagonal and off-diagonal
+    1/(2 sqrt((order+k)(order+k+1))), k = 1..K-1 (Ikebe 1975; Ball 2000), whose
+    top eigenvector decays once order+k passes j ~ order + 1.86 order^(1/3).
+    """
     if order < -0.5:
         raise ValueError("order must be >= -1/2")
-    # J is positive on (0, j_1); march until the sign flips, then refine
-    lo = 1e-6
-    step = 0.25
-    x = lo + step
-    for _ in range(max_steps):
-        if jv(order, x) < 0:
-            break
-        lo = x
-        x += step
-    else:
-        raise RuntimeError(f"no sign change found for J_{order}")
-    return float(brentq(lambda z: jv(order, z), lo, x, xtol=1e-15, rtol=8.9e-16))
+    if abs(order) == 0.5:
+        return math.pi if order > 0 else math.pi / 2
+    # K = 40 + ceil(4 order^(1/3)); max() as a negative float ** (1/3) is complex
+    k = np.arange(1, 40 + math.ceil(4 * max(order, 0) ** (1 / 3)))
+    off = 0.5 / np.sqrt((order + k) * (order + k + 1))
+    return float(1 / np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))[-1])
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -94,10 +93,7 @@ class TorusBound:
 
 
 def _ratio_objective(rho: float, dim: int) -> float:
-    try:
-        return rho ** (-dim / 2) / (1.0 - rho)
-    except OverflowError:
-        return math.inf
+    return rho ** (-dim / 2) / (1.0 - rho)
 
 
 def _log_ratio_objective(rho: float, dim: int) -> float:
@@ -114,10 +110,8 @@ def torus_covolume_bound(dim: int, shortest: float) -> TorusBound:
     closed form is cross-checked against a numeric minimisation.  Above
     the float range the covolume bounds are math.inf.
     """
-    from scipy.optimize import minimize_scalar
-
-    if dim < 1 or shortest <= 0:
-        raise ValueError("need dim >= 1 and shortest > 0")
+    if dim < 1 or not 0 < shortest < math.inf:
+        raise ValueError("need dim >= 1 and finite shortest > 0")
     n = dim
     s = shortest
     t = 4 * math.pi ** 2 * s ** 2
@@ -141,9 +135,15 @@ def torus_covolume_bound(dim: int, shortest: float) -> TorusBound:
     covolume, density = bounds(rho_star)
     r_star = j1 / math.sqrt(rho_star * t)
 
-    res = minimize_scalar(_ratio_objective, bounds=(1e-9, 1 - 1e-9), args=(n,),
-                          method="bounded", options={"xatol": 1e-10})
-    rho_grid = float(res.x)
+    # golden-section search; the objective is convex in rho, so unimodal
+    lo, hi, shrink = 1e-9, 1 - 1e-9, (math.sqrt(5) - 1) / 2
+    while hi - lo > 1e-10:
+        a, b = hi - shrink * (hi - lo), lo + shrink * (hi - lo)
+        if _log_ratio_objective(a, n) < _log_ratio_objective(b, n):
+            hi = b
+        else:
+            lo = a
+    rho_grid = (lo + hi) / 2
     covolume_grid, density_grid = bounds(rho_grid)
     return TorusBound(
         dim=n,

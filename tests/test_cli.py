@@ -169,6 +169,42 @@ def test_usage_error_exits_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+def test_non_finite_tol_rejected(capsys, tol):
+    code, out = run(capsys, "spectrum", "hamming:n=3,q=2", "--tol", tol)
+    assert code == 1
+    assert out.startswith("error: tolerance must be positive and finite")
+
+
+def test_design_verify_rejects_infinite_t(capsys, tmp_path):
+    dfile = tmp_path / "d.txt"
+    dfile.write_text("0\n1\n")
+    args = ("design", "verify", "hamming:n=3,q=2", "--design", str(dfile), "--t")
+    code, out = run(capsys, *args, "100")
+    assert (code, out.splitlines()[0]) == (1, "verified = false")
+    code, out = run(capsys, *args, "inf")
+    assert code == 1
+    assert out.startswith("error: t must be positive")
+
+
+@pytest.mark.parametrize("command", [
+    ("design", "search", "cycle:n=4", "--t", "nan"),
+    ("bound", "hamming:n=3,q=2", "--t", "inf", "--auto"),
+    ("bound", "hamming:n=3,q=2", "--t", "nan", "--ball", "1"),
+])
+def test_non_finite_t_rejected(capsys, command):
+    code, out = run(capsys, *command)
+    assert code == 1
+    assert out.startswith("error: t must be positive")
+
+
+@pytest.mark.parametrize("shortest", ["nan", "inf"])
+def test_torus_non_finite_shortest_rejected(capsys, shortest):
+    code, out = run(capsys, "torus", "covolume-bound", "--dim", "3",
+                    "--shortest", shortest)
+    assert (code, out) == (1, "error: need dim >= 1 and finite shortest > 0\n")
+
+
 def test_invalid_input_exits_1(capsys):
     code, out = run(capsys, "space", "info", "hamming:n=0,q=2")
     assert code == 1

@@ -338,3 +338,17 @@ def test_weighted_design_counts(h32, h32_spec):
     s1 = dl.design_strength(h32, h32_spec, d1).strength
     s2 = dl.design_strength(h32, h32_spec, d2).strength
     assert s1 == s2
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+def test_t_must_be_finite_and_positive(h32, h32_spec, t):
+    design = dl.make_design([0, 7], n_vertices=8)
+    calls = [
+        lambda: dl.verify_design(h32, h32_spec, design, t),
+        lambda: dl.design_bound(h32, h32_spec, t, spheres=[0, 1]),
+        lambda: dl.design_bound_auto(h32, h32_spec, t),
+        lambda: dl.min_design_search(h32, h32_spec, t, 4),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="t must be positive"):
+            call()

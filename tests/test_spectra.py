@@ -1,7 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import designlab as dl
 from conftest import even_weight_code
@@ -170,6 +173,33 @@ def test_quotient_nonball_sphere_set(h82):
     quot = dl.spherical_subset_eigen(h82, 0, [1, 2])
     omega = np.flatnonzero(np.isin(h82.classes[0], [1, 2]))
     dense = dl.subset_eigen(h82, omega)
+    assert quot.value == pytest.approx(dense.value, abs=TOL)
+
+
+PROPERTY_SPACES = {
+    "H(3,2)": (dl.hamming, 3, 2), "H(4,3)": (dl.hamming, 4, 3),
+    "H(5,2)": (dl.hamming, 5, 2), "J(7,3)": (dl.johnson, 7, 3),
+    "J(8,4)": (dl.johnson, 8, 4), "C(9)": (dl.cycle, 9), "C(12)": (dl.cycle, 12),
+    "H(4,3) r=2": (dl.hamming, 4, 3, 2), "J(8,4) r=2": (dl.johnson, 8, 4, 2),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _property_space(name):
+    build, *args = PROPERTY_SPACES[name]
+    return build(*args)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_quotient_matches_dense_on_random_sphere_sets(data):
+    space = _property_space(data.draw(st.sampled_from(sorted(PROPERTY_SPACES))))
+    origin = data.draw(st.integers(0, space.n_vertices - 1))
+    spheres = data.draw(st.sets(st.integers(0, space.n_classes), min_size=1))
+    quot = dl.spherical_subset_eigen(space, origin, spheres)
+    omega = np.flatnonzero(np.isin(space.classes[origin], sorted(spheres)))
+    dense = dl.subset_eigen(space, omega)
+    assert len(quot.omega) == len(dense.omega)
     assert quot.value == pytest.approx(dense.value, abs=TOL)
 
 

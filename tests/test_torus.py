@@ -170,3 +170,39 @@ def test_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
     assert out.stdout.strip() == "[]"
+
+
+def test_bessel_zero_negative_orders_below_order_zero():
+    # a negative order must not reach a float power 1/3 (complex in Python)
+    zeros = [dl.bessel_first_zero(v) for v in (-0.4999, -0.25, -0.01, 0.0)]
+    assert math.pi / 2 < zeros[0]
+    assert all(a < b for a, b in zip(zeros, zeros[1:]))
+
+
+def test_bessel_zero_large_order_matches_asymptotic_expansion():
+    # Abramowitz & Stegun 9.5.14 at order 2999 (dimension 6000)
+    v = 2999.0
+    expansion = (v + 1.8557571 * v ** (1 / 3) + 1.033150 * v ** (-1 / 3)
+                 - 0.00397 / v - 0.0908 * v ** (-5 / 3) + 0.043 * v ** (-7 / 3))
+    assert dl.bessel_first_zero(v) == pytest.approx(expansion, rel=1e-9)
+
+
+def test_density_bound_dimension_6000():
+    assert 0.0 <= dl.lattice_density_bound(6000) < dl.lattice_density_bound(400)
+
+
+@pytest.mark.parametrize("shortest", [math.nan, math.inf, -math.inf, 0.0])
+def test_covolume_bound_rejects_non_finite_shortest(shortest):
+    with pytest.raises(ValueError, match="finite shortest"):
+        dl.torus_covolume_bound(3, shortest)
+
+
+def test_torus_runs_without_scipy():
+    probe = ("import sys; sys.modules['scipy'] = None; "
+             "from designlab.cli import main; "
+             "sys.exit(main(['torus', 'density-bound', '--dim', '24']))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "density_bound = " in out.stdout
