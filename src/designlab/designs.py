@@ -104,12 +104,8 @@ def worst_residual(residuals, t: float, tol: float = DEFAULT_TOL) -> float:
 
 
 def _eigenspace_residuals(spectral: SpectralData, w: np.ndarray):
-    norm = np.linalg.norm(w)
-    out = []
-    for j in range(1, spectral.n_eigenspaces):
-        res = np.linalg.norm(spectral.projectors[j] @ w) / norm
-        out.append((float(spectral.eigenvalues[j]), float(res)))
-    return out
+    res = np.linalg.norm(spectral.components(w)[1:], axis=1) / np.linalg.norm(w)
+    return list(zip(spectral.eigenvalues[1:].tolist(), res.tolist()))
 
 
 def verify_design(space: Space, spectral: SpectralData, design: Design,
@@ -148,7 +144,7 @@ class BoundReport:
 
 def _bound_report(t: float, desc: str, lam: float, vol: int, n: int, tol: float,
                   eig: SubsetEig | None = None) -> BoundReport:
-    vacuous = lam >= t - tol
+    vacuous = not _below(lam, t, tol)
     bound = 0.0 if vacuous else (t - lam) / t * n / vol
     return BoundReport(t=t, omega=desc, lam=lam, vol_omega=vol, vol_space=n,
                        bound=bound, vacuous=vacuous, subset_eig=eig)

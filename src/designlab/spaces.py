@@ -78,11 +78,12 @@ class SpectralData:
     """Laplacian eigenstructure of a space, anchored at an origin vertex.
 
     ``eigenvalues`` are the distinct Laplacian eigenvalues, ascending from
-    0.  ``projectors[j]`` is the orthogonal projector onto eigenspace j,
-    ``eigenmatrix[i, j]`` the eigenvalue of adjacency class i on that
-    eigenspace, and ``zonal[j, i]`` the value of the j-th zonal sphere
-    function on class-i vertices (normalised to 1 at the origin).  The
-    (k, N, N) projectors are built by ``build_projectors`` when first read.
+    0.  ``components(w)`` is the (k, N) array whose row j is E_j w, the
+    projection of w onto eigenspace j.  ``eigenmatrix[i, j]`` is the
+    eigenvalue of adjacency class i on eigenspace j, and ``zonal[j, i]``
+    the value of the j-th zonal sphere function on class-i vertices
+    (normalised to 1 at the origin).  The (k, N, N) projectors E_j are
+    built by ``build_projectors`` only when ``projectors`` is first read.
     ``ball_eigen(tol)`` is ``spectra.ball_eigenvalues`` at the origin: the
     Dirichlet eigenvalue and volume of each ball 0..m, built on the first
     call for each tol and kept.
@@ -93,6 +94,7 @@ class SpectralData:
     multiplicities: np.ndarray     # (k,) int
     eigenmatrix: np.ndarray        # (m+1, k)
     zonal: np.ndarray              # (k, m+1)
+    components: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
     build_projectors: Callable[[], np.ndarray] = field(repr=False, compare=False)
     ball_eigen: Callable[[float], tuple[tuple, tuple]] = field(
         repr=False, compare=False)
@@ -567,6 +569,13 @@ def _scheme_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
                       / (root[:, None] * at_origin)).T
     eigenmatrix = space.valencies[:, None] * zonal.T
 
+    def components(w: np.ndarray) -> np.ndarray:
+        # E_j = (m_j/N) sum_i z_j(i) A_i; (A_i w)_x from the rows of supp w
+        supp = np.flatnonzero(w)
+        cells = space.classes[supp] + (m + 1) * np.arange(n)
+        sums = np.bincount(cells.ravel(), np.repeat(w[supp], n), n * (m + 1))
+        return (multiplicities / n)[:, None] * (zonal @ sums.reshape(n, m + 1).T)
+
     def build_projectors() -> np.ndarray:
         proj = zonal[:, space.classes]
         proj *= (multiplicities / n)[:, None, None]
@@ -578,6 +587,7 @@ def _scheme_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
         multiplicities=multiplicities,
         eigenmatrix=eigenmatrix,
         zonal=zonal,
+        components=components,
         build_projectors=build_projectors,
         ball_eigen=_ball_eigen(space, origin),
     )
@@ -586,23 +596,23 @@ def _scheme_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
 def _graph_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
     """Spectral data of an explicit graph from a dense eigensolve.
 
-    Only classes 0 and 1 (equality and adjacency) have eigenvalues; the
-    eigenmatrix row of class 2 is NaN.
+    Only classes 0 and 1 (equality and adjacency) have eigenvalues, 1 and
+    degree - theta_j; the eigenmatrix row of class 2 is NaN.
     """
     n, m = space.n_vertices, space.n_classes
     w, vecs = _eigh(space.laplacian())
     starts, eigenvalues = _group_eigenvalues(w, tol * max(1.0, float(space.degree)))
     ends = np.r_[starts[1:], n]
     multiplicities = ends - starts
-    projectors = np.stack([vecs[:, a:b] @ vecs[:, a:b].T
-                           for a, b in zip(starts, ends)])
     eigenmatrix = np.full((m + 1, len(starts)), np.nan)
-    for i in range(2):
-        eigenmatrix[i] = (np.einsum("jxy,xy->j", projectors, space.adjacency(i))
-                          / multiplicities)
+    eigenmatrix[0], eigenmatrix[1] = 1.0, space.degree - eigenvalues
+
+    def components(f: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(vecs * (f @ vecs), starts, axis=1).T
+
     ring = space.classes[origin]
     sizes = np.bincount(ring, minlength=m + 1)
-    cols = (n / multiplicities)[:, None] * projectors[:, :, origin]
+    cols = (n / multiplicities)[:, None] * components(np.eye(1, n, origin)[0])
     zonal = np.stack([np.bincount(ring, weights=col, minlength=m + 1)
                       for col in cols])
     zonal = np.divide(zonal, sizes, out=np.zeros_like(zonal), where=sizes > 0)
@@ -612,7 +622,9 @@ def _graph_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
         multiplicities=multiplicities,
         eigenmatrix=eigenmatrix,
         zonal=zonal,
-        build_projectors=lambda: projectors,
+        components=components,
+        build_projectors=lambda: np.stack([vecs[:, a:b] @ vecs[:, a:b].T
+                                           for a, b in zip(starts, ends)]),
         ball_eigen=_ball_eigen(space, origin),
     )
 

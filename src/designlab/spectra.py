@@ -65,12 +65,13 @@ def _sign_normalize(vec: np.ndarray, tol: float) -> np.ndarray:
     return vec
 
 
-def _min_block_eigen(matrix: np.ndarray, adjacency: np.ndarray, tol: float):
+def _min_block_eigen(matrix: np.ndarray, adjacency: np.ndarray, tol: float,
+                     degree: float):
     """Smallest eigenvalue over connected blocks of a restricted matrix.
 
     Blocks are iterated in order of lowest member, so a tie keeps the block
     with the lowest minimum index.  Returns (value, vector) with the vector
-    in the coordinates of ``matrix``.
+    in the coordinates of ``matrix``; a value in (-tol * degree, 0) is 0.0.
     """
     n = matrix.shape[0]
     comp = component_labels(adjacency)
@@ -83,16 +84,15 @@ def _min_block_eigen(matrix: np.ndarray, adjacency: np.ndarray, tol: float):
             best_val = float(w[0])
             best_vec = np.zeros(n)
             best_vec[idx] = v[:, 0]
-    return best_val, best_vec
+    return (0.0 if -tol * degree < best_val < 0 else best_val), best_vec
 
 
 def _quotient_eigen(space: Space, sym: np.ndarray, tol: float):
     """``_min_block_eigen`` of a symmetrised quotient, blocks split where
-    entries are below ``tol`` relative to the degree; value clamped."""
+    entries are below ``tol`` relative to the degree."""
     adj = np.abs(sym) > tol * max(1.0, space.degree)
     np.fill_diagonal(adj, True)
-    val, u = _min_block_eigen(sym, adj, tol)
-    return (0.0 if -tol * space.degree < val < 0 else val), u
+    return _min_block_eigen(sym, adj, tol, space.degree)
 
 
 def subset_eigen(space: Space, omega, tol: float = DEFAULT_TOL) -> SubsetEig:
@@ -110,9 +110,7 @@ def subset_eigen(space: Space, omega, tol: float = DEFAULT_TOL) -> SubsetEig:
     lap = space.laplacian()
     sub = lap[np.ix_(omega, omega)]
     adj = space.classes[np.ix_(omega, omega)] == space.laplacian_class
-    val, vec = _min_block_eigen(sub, adj, tol)
-    if -tol * space.degree < val < 0:
-        val = 0.0
+    val, vec = _min_block_eigen(sub, adj, tol, space.degree)
     psi = np.zeros(space.n_vertices)
     psi[omega] = _sign_normalize(vec, tol)
     psi /= np.linalg.norm(psi)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import designlab as dl
 from conftest import even_weight_code
+from designlab.spectra import ball_eigenvalues
 
 TOL = 1e-9
 
@@ -207,3 +208,12 @@ def test_load_subset(tmp_path):
     path = tmp_path / "omega.txt"
     path.write_text("3\n1\n3\n# comment\n2\n")
     assert list(dl.load_subset(str(path))) == [1, 2, 3]
+
+
+def test_whole_space_eigenvalue_is_clamped_to_zero():
+    # eigensolver noise just below 0 on the whole space is returned as 0.0,
+    # by the quotient route of the ball sweep and by dense restriction
+    for space in (dl.hamming(8, 2), dl.cycle(40)):
+        lams, _ = ball_eigenvalues(space, 0)
+        assert lams[-1] == 0.0
+        assert dl.subset_eigen(space, range(space.n_vertices)).value == 0.0
