@@ -48,7 +48,7 @@ class Reporter:
 
 
 def _global_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--tol", type=float, default=spaces.DEFAULT_TOL)
     parser.add_argument("--format", choices=("text", "csv"), default="text")
     parser.add_argument("--threads", type=int, default=0,
                         help="checked to be >= 0, no other effect; BLAS threads come "

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import DEFAULT_TOL, Records, Space, SpectralData
+from .spaces import _CHUNK, DEFAULT_TOL, Records, Space, SpectralData
 from .spectra import SubsetEig, dirichlet_form, sphere_union_eigen, subset_eigen
 
 STRENGTH_UNBOUNDED = math.inf
@@ -211,20 +211,17 @@ class IsometryAction:
     validated: bool
 
 
-_CHECK_CHUNK = 1 << 20      # class-matrix entries compared at a time
-
-
 def _validate_action(space: Space, design: Design, origin: int, perms: np.ndarray):
     """(index, reason) of the first permutation that is not a bijection
     taking its design point to the origin and preserving the class of every
     vertex pair, or None.  Every permutation is checked exhaustively.
 
     Rows are compared in chunks, so peak memory stays near
-    ``_CHECK_CHUNK`` entries whatever N is.
+    ``_CHUNK`` entries whatever N is.
     """
     classes = space.classes
     n = space.n_vertices
-    step = max(1, _CHECK_CHUNK // n)
+    step = max(1, _CHUNK // n)
     for i, (y, perm) in enumerate(zip(design.points, perms)):
         if not np.array_equal(np.sort(perm), np.arange(n)):
             return i, f"isometry {i} is not a permutation"
@@ -356,8 +353,8 @@ def verify_cover_chain(space: Space, spectral: SpectralData, design: Design,
     """
     n = space.n_vertices
     lam = subset_eig.value
-    if lam >= t:
-        raise ValueError(f"vacuous: lambda(Omega) = {lam:.6g} >= t = {t:.6g}")
+    if not _below(lam, t, tol):
+        raise ValueError(f"vacuous: lambda(Omega) = {lam:.6g} is not below t = {t:.6g}")
     ok, _ = verify_design(space, spectral, design, t, tol)
     if not ok:
         raise ValueError(f"design does not verify at strength t = {t:.6g}")
@@ -426,30 +423,28 @@ def min_design_search(space: Space, spectral: SpectralData, t: float,
               if _below(spectral.eigenvalues[j], t, tol)]
     if not active:
         return make_design([0], n_vertices=n), 1
-    proj = [spectral.projectors[j] for j in active]
-    # worst-case norm a single added point can cancel, per eigenspace
-    col_norm = [max(np.linalg.norm(P[:, x]) for x in range(n)) for P in proj]
-
+    # cols[x, a] = E_j e_x for the a-th active j; reach = most one point cancels
+    cols = np.stack([spectral.components(e)[active] for e in np.eye(n)])
+    reach = np.linalg.norm(cols, axis=2).max(axis=0)
     for size in range(1, max_size + 1):
-        found = _search_rec(n, size, 0, [np.zeros(n) for _ in proj],
-                            [], proj, col_norm, tol * math.sqrt(size))
+        found = _extend(cols, reach, tol * math.sqrt(size), 0.0, [], size)
         if found is not None:
             return make_design(found, n_vertices=n), size
     return None, None
 
 
-def _search_rec(n, size, start, partial, chosen, proj, col_norm, tol):
-    remaining = size - len(chosen)
-    if remaining == 0:
-        if all(np.linalg.norm(s) <= tol for s in partial):
-            return list(chosen)
-        return None
-    for s, c in zip(partial, col_norm):
-        if np.linalg.norm(s) > remaining * c + tol:
-            return None                       # cannot be cancelled any more
-    for x in range(start, n - remaining + 1):
-        nxt = [s + P[:, x] for s, P in zip(partial, proj)]
-        hit = _search_rec(n, size, x + 1, nxt, chosen + [x], proj, col_norm, tol)
+def _extend(cols, reach, tol, partial, chosen, left):
+    """First ascending completion of ``chosen`` by ``left`` points, or None."""
+    if left == 0:
+        return chosen
+    start = chosen[-1] + 1 if chosen else 0
+    children = partial + cols[start:len(cols) - left + 1]
+    # keep a child while the points after it can still cancel each component;
+    # with none after it (left == 1) this is the strength-t test itself
+    fits = (np.linalg.norm(children, axis=2) <= (left - 1) * reach + tol).all(axis=1)
+    for i in np.flatnonzero(fits):
+        hit = _extend(cols, reach, tol, children[i], [*chosen, start + int(i)],
+                      left - 1)
         if hit is not None:
             return hit
     return None

@@ -20,8 +20,9 @@ from itertools import chain, combinations
 
 import numpy as np
 
-SIZE_CAP = 4096          # dense N x N class matrix and projectors
+SIZE_CAP = 4096          # dense N x N class matrix
 DEFAULT_TOL = 1e-9
+_CHUNK = 1 << 20         # class-matrix entries gathered or compared at a time
 
 
 class SchemeError(ValueError):
@@ -83,7 +84,8 @@ class SpectralData:
     eigenvalue of adjacency class i on eigenspace j, and ``zonal[j, i]``
     the value of the j-th zonal sphere function on class-i vertices
     (normalised to 1 at the origin).  The (k, N, N) projectors E_j are
-    built by ``build_projectors`` only when ``projectors`` is first read.
+    built by ``build_projectors`` only when ``projectors`` is first read;
+    nothing in this package reads them, ``components`` serves every route.
     ``ball_eigen(tol)`` is ``spectra.ball_eigenvalues`` at the origin: the
     Dirichlet eigenvalue and volume of each ball 0..m, built on the first
     call for each tol and kept.
@@ -570,11 +572,18 @@ def _scheme_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
     eigenmatrix = space.valencies[:, None] * zonal.T
 
     def components(w: np.ndarray) -> np.ndarray:
-        # E_j = (m_j/N) sum_i z_j(i) A_i; (A_i w)_x from the rows of supp w
+        # E_j = (m_j/N) sum_i z_j(i) A_i; (A_i w)_x from the rows of supp w,
+        # in column blocks of about _CHUNK entries; a column block keeps each
+        # cell's summation order, so the result does not depend on _CHUNK
         supp = np.flatnonzero(w)
-        cells = space.classes[supp] + (m + 1) * np.arange(n)
-        sums = np.bincount(cells.ravel(), np.repeat(w[supp], n), n * (m + 1))
-        return (multiplicities / n)[:, None] * (zonal @ sums.reshape(n, m + 1).T)
+        step = max(1, _CHUNK // max(1, len(supp)))
+        sums = np.empty((n, m + 1))
+        for lo in range(0, n, step):
+            hi = min(lo + step, n)
+            cells = space.classes[supp, lo:hi] + (m + 1) * np.arange(hi - lo)
+            sums[lo:hi] = np.bincount(cells.ravel(), np.repeat(w[supp], hi - lo),
+                                      (hi - lo) * (m + 1)).reshape(hi - lo, m + 1)
+        return (multiplicities / n)[:, None] * (zonal @ sums.T)
 
     def build_projectors() -> np.ndarray:
         proj = zonal[:, space.classes]

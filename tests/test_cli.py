@@ -255,3 +255,18 @@ def test_bound_auto_vacuous_follows_the_below_t_rule(capsys):
     code, out = run(capsys, "bound", "hamming:n=3,q=2", "--t", repr(t), "--auto")
     assert code == 0
     assert f"1  {lam!r}  4  0.0  true" in out.splitlines()
+
+
+def test_cover_vacuity_follows_the_below_t_rule(capsys, tmp_path):
+    # lambda(ball 1) = 3 - sqrt(3) lies within tol * max(1, t) below t, so
+    # bound calls ball 1 vacuous and cover refuses to certify it
+    dfile = tmp_path / "d.txt"
+    dfile.write_text("0\n3\n5\n6\n")
+    t = "1.267949193531123"
+    code, out = run(capsys, "bound", "hamming:n=3,q=2", "--t", t, "--ball", "1")
+    assert code == 0
+    assert "vacuous = true" in out
+    code, out = run(capsys, "cover", "hamming:n=3,q=2", "--design", str(dfile),
+                    "--t", t, "--ball", "1")
+    assert code == 1
+    assert out.startswith("error: vacuous:")

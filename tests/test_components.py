@@ -88,3 +88,12 @@ def test_even_weight_code_in_h11_has_strength_22():
     assert max(res for _, res in rep.per_eigenspace[:-1]) <= 1e-9
     assert rep.per_eigenspace[-1][1] == pytest.approx(np.sqrt(0.5))
     assert "projectors" not in vars(spec)
+
+
+def test_components_in_column_blocks_are_bit_identical(monkeypatch):
+    space = dl.hamming(8, 2)
+    spec = dl.spectral_decomposition(space)
+    w = np.random.default_rng(8).normal(size=space.n_vertices)
+    whole = spec.components(w)
+    monkeypatch.setattr(dl.spaces, "_CHUNK", 64)
+    assert np.array_equal(spec.components(w), whole)
