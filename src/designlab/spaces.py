@@ -20,13 +20,35 @@ from itertools import chain, combinations
 
 import numpy as np
 
-SIZE_CAP = 4096          # dense N x N class matrix
+SIZE_CAP = 4096          # largest N: the N x N class matrix must fit when read
 DEFAULT_TOL = 1e-9
 _CHUNK = 1 << 20         # class-matrix entries gathered or compared at a time
 
 
 class SchemeError(ValueError):
     """Invalid space construction or scheme axiom violation."""
+
+
+class _BuiltOnRead:
+    """A dataclass field given either its value or a zero-argument builder.
+
+    A builder is called the first time the field is read, and its value
+    is kept in its place.
+    """
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name]
+        if callable(value):
+            value = obj.__dict__[self.name] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.name] = value
 
 
 @dataclass(frozen=True)
@@ -36,17 +58,20 @@ class Space:
     ``classes[x, y]`` is the relation class of the pair (x, y); class 0 is
     the diagonal.  ``valencies[i]`` counts the class-i partners of any
     vertex.  ``intersection_numbers[k, i, j]`` is p^k_ij, present for every
-    scheme this module builds and None for graphs.
+    scheme this module builds and None for graphs.  ``classes`` and
+    ``labels`` take a value or a builder: the built-in families pass
+    builders, so the N x N class matrix exists only once vertex-level work
+    reads it, and the scheme algebra never does.
     """
 
     kind: str                      # "graph", "scheme", "hamming", "johnson", "cycle"
     n_vertices: int
     n_classes: int                 # m: classes are 0..m
-    classes: np.ndarray            # (N, N) int
+    classes: np.ndarray = field(repr=False)          # (N, N) int
     valencies: np.ndarray          # (m+1,) int
     laplacian_class: int = 1
     intersection_numbers: np.ndarray | None = None   # (m+1, m+1, m+1) int
-    labels: tuple | None = None    # optional per-vertex labels (words, subsets)
+    labels: tuple | None = field(default=None, repr=False)  # words, subsets
 
     @property
     def is_scheme(self) -> bool:
@@ -72,6 +97,11 @@ class Space:
     def ball(self, origin: int, radius: int) -> np.ndarray:
         """Vertices in classes 0..radius around ``origin``."""
         return np.flatnonzero(self.classes[origin] <= radius)
+
+
+# set after @dataclass, so that the fields keep repr=False and classes stays required
+Space.classes = _BuiltOnRead("classes")
+Space.labels = _BuiltOnRead("labels")
 
 
 @dataclass(frozen=True)
@@ -140,8 +170,7 @@ def component_labels(adjacency: np.ndarray) -> np.ndarray:
         labels = lowered
 
 
-def _check_connected(classes: np.ndarray, r: int) -> None:
-    n_comp = len(np.unique(component_labels(classes == r)))
+def _check_connected(r: int, n_comp: int) -> None:
     if n_comp != 1:
         raise SchemeError(
             f"relation class {r} is disconnected ({n_comp} components); "
@@ -149,16 +178,18 @@ def _check_connected(classes: np.ndarray, r: int) -> None:
         )
 
 
-def _finish_space(kind, classes, m, laplacian_class, labels=None) -> Space:
+def _finish_space(kind, classes, m, laplacian_class) -> Space:
+    """A space from its class matrix, checked at vertex level: files and
+    graphs, whose p is trusted only after ``validate_scheme``."""
     n = classes.shape[0]
     counts = np.stack([(classes == i).sum(axis=1) for i in range(m + 1)], axis=1)
     if not (counts == counts[0]).all():
         bad = int(np.argwhere((counts != counts[0]).any(axis=1))[0, 0])
         raise SchemeError(f"space is not regular: witness vertex {bad}")
-    if not 1 <= laplacian_class <= m:
-        raise SchemeError(f"laplacian class {laplacian_class} out of range 1..{m}")
-    _check_connected(classes, laplacian_class)
-    p = None if kind == "graph" else _intersection_numbers(classes, m)
+    _check_relation(laplacian_class, m)
+    _check_connected(laplacian_class,
+                     len(np.unique(component_labels(classes == laplacian_class))))
+    p = None if kind == "graph" else _intersection_numbers(classes.__getitem__, m)
     return Space(
         kind=kind,
         n_vertices=n,
@@ -167,21 +198,53 @@ def _finish_space(kind, classes, m, laplacian_class, labels=None) -> Space:
         valencies=counts[0].copy(),
         laplacian_class=laplacian_class,
         intersection_numbers=p,
+    )
+
+
+def _check_relation(r: int, m: int) -> None:
+    if not 1 <= r <= m:
+        raise SchemeError(f"laplacian class {r} out of range 1..{m}")
+
+
+def _family_space(kind, n, m, rows, laplacian_class, labels) -> Space:
+    """A built-in family's space from m+2 rows of its class matrix.
+
+    ``rows(xs)`` returns the class-matrix rows of the vertices ``xs``; the
+    whole matrix is built only when ``classes`` is first read.  The family
+    is a scheme by construction, so regularity is not counted and
+    connectivity is read off p: the spheres that relation r reaches from
+    the origin's sphere must hold all N vertices.
+    """
+    _check_relation(laplacian_class, m)
+    p = _intersection_numbers(rows, m)
+    valencies = p[0].diagonal().copy()          # p^0_ii = k_i
+    reached = component_labels(p[:, laplacian_class, :] > 0) == 0
+    _check_connected(laplacian_class, n // int(valencies[reached].sum()))
+    return Space(
+        kind=kind,
+        n_vertices=n,
+        n_classes=m,
+        classes=lambda: rows(np.arange(n)),
+        valencies=valencies,
+        laplacian_class=laplacian_class,
+        intersection_numbers=p,
         labels=labels,
     )
 
 
-def _intersection_numbers(classes: np.ndarray, m: int) -> np.ndarray:
+def _intersection_numbers(row_of, m: int) -> np.ndarray:
     """p^k_ij read off the pair (0, y), y the first class-k vertex in row 0.
 
-    The space must be regular, so that every class that occurs occurs in
-    row 0.  Correct for genuine schemes; ``validate_scheme`` checks the
-    values against every pair.
+    ``row_of(xs)`` gives the class-matrix rows of the vertices ``xs``, and
+    m+2 rows are read.  The space must be regular, so that every class
+    that occurs occurs in row 0.  Correct for genuine schemes;
+    ``validate_scheme`` checks the values against every pair.
     """
     p = np.zeros((m + 1, (m + 1) ** 2), dtype=int)
-    row = classes[0] * (m + 1)
-    for k, y in zip(*np.unique(classes[0], return_index=True)):
-        p[k] = np.bincount(row + classes[y], minlength=(m + 1) ** 2)
+    row0 = row_of(np.arange(1))[0]
+    ks, firsts = np.unique(row0, return_index=True)
+    for k, row in zip(ks, row_of(firsts)):
+        p[k] = np.bincount(row0 * (m + 1) + row, minlength=(m + 1) ** 2)
     return p.reshape(m + 1, m + 1, m + 1)
 
 
@@ -197,11 +260,15 @@ def hamming(n: int, q: int, laplacian_class: int = 1) -> Space:
     if size > SIZE_CAP:
         raise SchemeError(f"hamming({n},{q}) has {size} vertices > cap {SIZE_CAP}")
     digits = (np.arange(size)[:, None] // q ** np.arange(n)[None, :]) % q
-    classes = np.zeros((size, size), dtype=np.int64)
-    for col in digits.T:             # one coordinate at a time: no (N, N, n) array
-        classes += col[:, None] != col[None, :]
-    return _finish_space("hamming", classes, n, laplacian_class,
-                         labels=tuple(map(tuple, digits)))
+
+    def rows(xs):
+        out = np.zeros((len(xs), size), dtype=np.int64)
+        for col in digits.T:         # per coordinate: no (len(xs), N, n) array
+            out += col[xs, None] != col[None, :]
+        return out
+
+    return _family_space("hamming", size, n, rows, laplacian_class,
+                         labels=lambda: tuple(map(tuple, digits)))
 
 
 def _colex_rank(subset: tuple[int, ...]) -> int:
@@ -221,13 +288,11 @@ def johnson(n: int, w: int, laplacian_class: int = 1) -> Space:
         raise SchemeError(f"johnson({n},{w}) has {size} vertices > cap {SIZE_CAP}")
     subsets = sorted((tuple(c) for c in combinations(range(1, n + 1), w)),
                      key=_colex_rank)
-    masks = np.zeros((size, n), dtype=bool)
+    masks = np.zeros((size, n), dtype=int)
     for v, s in enumerate(subsets):
-        masks[v, [e - 1 for e in s]] = True
-    inter = masks.astype(int) @ masks.astype(int).T
-    classes = w - inter
-    return _finish_space("johnson", classes, w, laplacian_class,
-                         labels=tuple(subsets))
+        masks[v, [e - 1 for e in s]] = 1
+    return _family_space("johnson", size, w, lambda xs: w - masks[xs] @ masks.T,
+                         laplacian_class, labels=tuple(subsets))
 
 
 def cycle(n: int, laplacian_class: int = 1) -> Space:
@@ -235,9 +300,12 @@ def cycle(n: int, laplacian_class: int = 1) -> Space:
     if n < 3:
         raise SchemeError("cycle requires n >= 3")
     idx = np.arange(n)
-    diff = np.abs(idx[:, None] - idx[None, :])
-    classes = np.minimum(diff, n - diff)
-    return _finish_space("cycle", classes, n // 2, laplacian_class)
+
+    def rows(xs):
+        diff = np.abs(xs[:, None] - idx)
+        return np.minimum(diff, n - diff)
+
+    return _family_space("cycle", n, n // 2, rows, laplacian_class, labels=None)
 
 
 def build_named_space(spec: str, laplacian_class: int = 1) -> Space:
@@ -442,7 +510,7 @@ def validate_scheme(space: Space) -> ValidationReport:
     if failures:
         return ValidationReport(False, failures)
 
-    p = _intersection_numbers(classes, m)
+    p = _intersection_numbers(classes.__getitem__, m)
     adj = [(classes == i).astype(float) for i in range(m + 1)]
     for i in range(m + 1):
         for j in range(i, m + 1):

@@ -71,7 +71,8 @@ def _min_block_eigen(matrix: np.ndarray, adjacency: np.ndarray, tol: float,
 
     Blocks are iterated in order of lowest member, so a tie keeps the block
     with the lowest minimum index.  Returns (value, vector) with the vector
-    in the coordinates of ``matrix``; a value in (-tol * degree, 0) is 0.0.
+    in the coordinates of ``matrix``; a value within tol * degree of 0 is 0.0,
+    whatever the sign of the eigensolver's noise.
     """
     n = matrix.shape[0]
     comp = component_labels(adjacency)
@@ -84,7 +85,7 @@ def _min_block_eigen(matrix: np.ndarray, adjacency: np.ndarray, tol: float,
             best_val = float(w[0])
             best_vec = np.zeros(n)
             best_vec[idx] = v[:, 0]
-    return (0.0 if -tol * degree < best_val < 0 else best_val), best_vec
+    return (0.0 if abs(best_val) < tol * degree else best_val), best_vec
 
 
 def _quotient_eigen(space: Space, sym: np.ndarray, tol: float):
