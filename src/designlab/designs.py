@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import _CHUNK, DEFAULT_TOL, Records, Space, SpectralData
+from .spaces import _CHUNK, DEFAULT_TOL, Records, Space, SpectralData, is_metric
 from .spectra import SubsetEig, dirichlet_form, sphere_union_eigen, subset_eigen
 
 STRENGTH_UNBOUNDED = math.inf
@@ -204,7 +204,10 @@ class IsometryAction:
     """One relation-preserving vertex permutation per design point.
 
     ``permutations[i]`` maps design point i to the origin; row p is the
-    image array, i.e. tau_i(x) = permutations[i][x].
+    image array, i.e. tau_i(x) = permutations[i][x].  ``validated`` means
+    every permutation was checked to keep the class of every vertex pair:
+    on a metric scheme through its relation-1 edges, which decide every
+    class (see ``_validate_action``), and otherwise pair by pair.
     """
 
     permutations: np.ndarray       # (d, N) int
@@ -216,22 +219,46 @@ def _validate_action(space: Space, design: Design, origin: int, perms: np.ndarra
     taking its design point to the origin and preserving the class of every
     vertex pair, or None.  Every permutation is checked exhaustively.
 
-    Rows are compared in chunks, so peak memory stays near
-    ``_CHUNK`` entries whatever N is.
+    When the space's p is metric (``spaces.is_metric``), the class of a
+    pair is its distance in the relation-1 graph.  A bijection that maps
+    each of the N k_1 ordered relation-1 edges to an edge is then an
+    automorphism of that graph, so it keeps every distance and every class
+    (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*, 1989), and
+    only the edges are checked.  Graphs and other schemes compare all N^2
+    pairs.  Either way a permutation passes exactly when it keeps every
+    class, so the index and reason do not depend on the route.
     """
-    classes = space.classes
+    p = space.intersection_numbers
+    check = _edge_check if p is not None and is_metric(p) else _pair_check
+    keeps = check(space.classes)
     n = space.n_vertices
-    step = max(1, _CHUNK // n)
     for i, (y, perm) in enumerate(zip(design.points, perms)):
         if not np.array_equal(np.sort(perm), np.arange(n)):
             return i, f"isometry {i} is not a permutation"
         if perm[y] != origin:
             return i, f"isometry {i} does not map point {y} to the origin"
-        for lo in range(0, n, step):
-            rows = slice(lo, lo + step)
-            if (classes[np.ix_(perm[rows], perm)] != classes[rows]).any():
-                return i, f"isometry {i} does not preserve relations"
+        if not keeps(perm):
+            return i, f"isometry {i} does not preserve relations"
     return None
+
+
+def _edge_check(classes: np.ndarray):
+    """A test of whether a permutation maps every relation-1 edge to one."""
+    src, dst = np.nonzero(classes == 1)
+    return lambda perm: bool((classes[perm[src], perm[dst]] == 1).all())
+
+
+def _pair_check(classes: np.ndarray):
+    """A test of whether a permutation keeps the class of every pair.
+
+    Rows are compared in chunks, so peak memory stays near ``_CHUNK``
+    entries whatever N is.
+    """
+    n = len(classes)
+    step = max(1, _CHUNK // n)
+    return lambda perm: all(
+        (classes[np.ix_(perm[lo:lo + step], perm)] == classes[lo:lo + step]).all()
+        for lo in range(0, n, step))
 
 
 def translations_to_origin(space: Space, design: Design,
@@ -257,21 +284,21 @@ def translations_to_origin(space: Space, design: Design,
         for i, y in enumerate(design.points):
             perms[i] = (idx - y + origin) % n
     elif space.kind == "johnson":
-        labels = space.labels
-        rank = {s: v for v, s in enumerate(labels)}
-        o_set = set(labels[origin])
-        ground = set()
-        for s in labels:
-            ground |= set(s)
+        sets = np.array(space.labels) - 1         # (N, w), 0-based, ascending
+        size, w = int(sets.max()) + 1, sets.shape[1]
+        masks = np.zeros((n, size), dtype=bool)
+        np.put_along_axis(masks, sets, True, axis=1)
+        # colex rank: the a-th smallest element, at 0-based position e, adds comb(e, a)
+        binom = np.array([[math.comb(e, a) for a in range(w + 1)]
+                          for e in range(size)])
         for i, y in enumerate(design.points):
-            y_set = set(labels[y])
-            src = sorted(y_set - o_set)
-            dst = sorted(o_set - y_set)
-            sigma = {e: e for e in ground}
-            for a, b in zip(src, dst):
-                sigma[a], sigma[b] = b, a
-            for v, s in enumerate(labels):
-                perms[i, v] = rank[tuple(sorted(sigma[e] for e in s))]
+            sigma = np.arange(size)               # an involution of the ground set
+            src = np.flatnonzero(masks[y] & ~masks[origin])
+            dst = np.flatnonzero(masks[origin] & ~masks[y])
+            sigma[src], sigma[dst] = dst, src
+            mapped = masks[:, sigma]
+            perms[i] = (binom[np.arange(size), mapped.cumsum(axis=1)]
+                        * mapped).sum(axis=1)
     else:
         raise ValueError(
             f"no built-in isometry action for kind {space.kind!r}; "

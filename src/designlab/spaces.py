@@ -23,6 +23,7 @@ import numpy as np
 SIZE_CAP = 4096          # largest N: the N x N class matrix must fit when read
 DEFAULT_TOL = 1e-9
 _CHUNK = 1 << 20         # class-matrix entries gathered or compared at a time
+_P_TABLE_CAP = 1 << 32   # bytes: the largest (m+1)^3 int64 p^k_ij table built
 
 
 class SchemeError(ValueError):
@@ -238,8 +239,13 @@ def _intersection_numbers(row_of, m: int) -> np.ndarray:
     ``row_of(xs)`` gives the class-matrix rows of the vertices ``xs``, and
     m+2 rows are read.  The space must be regular, so that every class
     that occurs occurs in row 0.  Correct for genuine schemes;
-    ``validate_scheme`` checks the values against every pair.
+    ``validate_scheme`` checks the values against every pair.  A table over
+    ``_P_TABLE_CAP`` bytes is refused before anything is allocated.
     """
+    size = 8 * (m + 1) ** 3
+    if size > _P_TABLE_CAP:
+        raise SchemeError(f"p^k_ij for m = {m} needs {size / 2 ** 30:.1f} GiB "
+                          f"> cap {_P_TABLE_CAP / 2 ** 30:.0f} GiB")
     p = np.zeros((m + 1, (m + 1) ** 2), dtype=int)
     row0 = row_of(np.arange(1))[0]
     ks, firsts = np.unique(row0, return_index=True)
@@ -299,6 +305,8 @@ def cycle(n: int, laplacian_class: int = 1) -> Space:
     """Cycle graph C_n as a scheme; the pair class is circular distance."""
     if n < 3:
         raise SchemeError("cycle requires n >= 3")
+    if n > SIZE_CAP:
+        raise SchemeError(f"cycle({n}) has {n} vertices > cap {SIZE_CAP}")
     idx = np.arange(n)
 
     def rows(xs):
@@ -411,6 +419,21 @@ def load_space(path: str, laplacian_class: int = 1) -> Space:
     pair, or ``graph <N>`` followed by ``edge <u> <v>`` lines.  Scheme files
     are validated against the scheme axioms on load.
     """
+    kind, m, classes = _read_space(path)    # its token lists die before validation
+    if kind == "graph":
+        return _finish_space("graph", classes, m, laplacian_class)
+    if (classes < 0).any():
+        u, v = np.argwhere(classes < 0)[0]
+        raise SchemeError(f"{path}: pair ({u},{v}) has no classification")
+    space = _finish_space("scheme", classes, m, laplacian_class)
+    report = validate_scheme(space)
+    if not report.valid:
+        raise SchemeError(f"{path}: scheme axiom violation: {report.failures[0]}")
+    return space
+
+
+def _read_space(path: str) -> tuple[str, int, np.ndarray]:
+    """(kind, m, classes) of a space file; an unlisted scheme pair is -1."""
     rec = Records(path)
     if not rec.tokens:
         raise SchemeError(f"{path}: empty space file")
@@ -440,16 +463,7 @@ def load_space(path: str, laplacian_class: int = 1) -> Space:
     np.fill_diagonal(classes, 0)
     classes[lo, hi] = c                 # a pair listed twice keeps one class,
     classes[hi, lo] = c                 # the same in both triangles
-    if kind == "graph":
-        return _finish_space("graph", classes, 2, laplacian_class)
-    if (classes < 0).any():
-        u, v = np.argwhere(classes < 0)[0]
-        raise SchemeError(f"{path}: pair ({u},{v}) has no classification")
-    space = _finish_space("scheme", classes, m, laplacian_class)
-    report = validate_scheme(space)
-    if not report.valid:
-        raise SchemeError(f"{path}: scheme axiom violation: {report.failures[0]}")
-    return space
+    return kind, m, classes
 
 
 def save_space(space: Space, path: str) -> None:
@@ -473,12 +487,33 @@ def save_space(space: Space, path: str) -> None:
 # validation
 
 
+def is_metric(p: np.ndarray) -> bool:
+    """True when p says that the class of a pair is its distance in
+    relation 1: p^k_{1j} = 0 for |k - j| > 1 and p^{j+1}_{1j} > 0 for j < m.
+    """
+    b = p[:, 1, :]                          # b[k, j] = p^k_{1j}
+    k, j = np.indices(b.shape)
+    return not b[abs(k - j) > 1].any() and bool((b.diagonal(-1) > 0).all())
+
+
 def validate_scheme(space: Space) -> ValidationReport:
     """Check the symmetric association scheme axioms exhaustively.
 
-    p^k_ij is read off one pair per class and compared with A_i A_j at
-    every pair.  Violations are reported with concrete witnesses; on
-    success the report carries the intersection numbers p^k_ij.
+    p^k_ij is read off one pair per class.  When that p is metric
+    (``is_metric``), one layer of it is checked: for every pair (x, y) and
+    every j, #{z ~1 x : c(z, y) = j} = p^{c(x,y)}_{1j}, which is N^2 k_1
+    gathers.  This is enough.  By induction on c(x, y), a pair of class
+    k >= 1 has a relation-1 neighbour of x in class k - 1 with y, and no
+    neighbour of x is in a class below k - 1; with c(x, y) = 0 only for
+    x = y and c symmetric, c is the graph distance in relation 1.  That
+    graph then has intersection numbers c_k, a_k, b_k that do not depend on
+    the pair, so it is distance-regular, and the distance classes of a
+    distance-regular graph form a symmetric association scheme
+    (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*, 1989, 4.1).
+    Its p is the one read off row 0.  Other schemes, and any that fail the
+    metric check, compare A_i A_j with p at every pair for all i <= j,
+    which names the failures and their witness pairs.  On success the
+    report carries p^k_ij.
     """
     classes = space.classes
     n, m = space.n_vertices, space.n_classes
@@ -511,7 +546,46 @@ def validate_scheme(space: Space) -> ValidationReport:
         return ValidationReport(False, failures)
 
     p = _intersection_numbers(classes.__getitem__, m)
+    if not (is_metric(p) and _metric_layer_holds(classes, p)):
+        failures = _product_failures(classes, p)
+    if failures:
+        return ValidationReport(False, failures)
+    return ValidationReport(True, [], intersection_numbers=p)
+
+
+def _metric_layer_holds(classes: np.ndarray, p: np.ndarray) -> bool:
+    """True when #{z ~1 x : c(z, y) = j} = p^{c(x,y)}_{1j} for every pair
+    (x, y) and every j, for a metric p.
+
+    Each relation-1 edge (x, z) and vertex y give the step
+    c(z, y) - c(x, y), which a metric p allows only in {-1, 0, 1}; the
+    steps are counted per (x, y) over rows x in chunks of about _CHUNK / 8
+    entries.
+    """
+    n = classes.shape[0]
+    b = np.pad(p[:, 1, :], ((0, 0), (1, 1)))    # b[k, j + 1] = p^k_{1j}
+    want = np.stack([b.diagonal(s) for s in range(3)], axis=1)  # j = k-1, k, k+1
+    src, dst = np.nonzero(classes == 1)
+    step = max(1, (_CHUNK // 8) // len(src))    # rows x per chunk
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        first, last = np.searchsorted(src, [lo, hi])
+        steps = classes[dst[first:last]] - classes[src[first:last]]
+        if (abs(steps) > 1).any():
+            return False
+        cells = ((src[first:last, None] - lo) * n + np.arange(n)) * 3 + steps + 1
+        counts = np.bincount(cells.ravel(), minlength=(hi - lo) * n * 3)
+        if (counts.reshape(hi - lo, n, 3) != want[classes[lo:hi]]).any():
+            return False
+    return True
+
+
+def _product_failures(classes: np.ndarray, p: np.ndarray) -> list[str]:
+    """Every (i, j), i <= j, at which rint(A_i A_j) differs from p, with the
+    first pair that differs as witness."""
+    m = p.shape[0] - 1
     adj = [(classes == i).astype(float) for i in range(m + 1)]
+    failures = []
     for i in range(m + 1):
         for j in range(i, m + 1):
             bad = np.rint(adj[i] @ adj[j]) != p[:, i, j][classes]
@@ -521,9 +595,7 @@ def validate_scheme(space: Space) -> ValidationReport:
                 failures.append(
                     f"p^{k}_{{{i},{j}}} not constant: witness triple "
                     f"(i={i}, j={j}, k={k}) at pair ({x},{y})")
-    if failures:
-        return ValidationReport(False, failures)
-    return ValidationReport(True, [], intersection_numbers=p)
+    return failures
 
 
 # ---------------------------------------------------------------------------
