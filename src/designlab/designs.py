@@ -265,44 +265,14 @@ def translations_to_origin(space: Space, design: Design,
                            origin: int = 0) -> IsometryAction:
     """Canonical isometries taking each design point to the origin.
 
-    Hamming: coordinatewise group translation.  Cycle: rotation.  Johnson:
-    the order-preserving swap of the symmetric difference with the origin
-    set.  Other spaces need a user-supplied isometry file.
+    They come from ``space.translation``, which the built-in families
+    carry; other spaces need a user-supplied isometry file.
     """
-    n = space.n_vertices
-    perms = np.empty((len(design.points), n), dtype=int)
-    if space.kind == "hamming":
-        words = np.array(space.labels)            # (N, n_coords)
-        q = int(words.max()) + 1                  # every digit value occurs
-        weights = q ** np.arange(words.shape[1])
-        o_word = words[origin]
-        for i, y in enumerate(design.points):
-            shifted = (words - words[y] + o_word) % q
-            perms[i] = shifted @ weights
-    elif space.kind == "cycle":
-        idx = np.arange(n)
-        for i, y in enumerate(design.points):
-            perms[i] = (idx - y + origin) % n
-    elif space.kind == "johnson":
-        sets = np.array(space.labels) - 1         # (N, w), 0-based, ascending
-        size, w = int(sets.max()) + 1, sets.shape[1]
-        masks = np.zeros((n, size), dtype=bool)
-        np.put_along_axis(masks, sets, True, axis=1)
-        # colex rank: the a-th smallest element, at 0-based position e, adds comb(e, a)
-        binom = np.array([[math.comb(e, a) for a in range(w + 1)]
-                          for e in range(size)])
-        for i, y in enumerate(design.points):
-            sigma = np.arange(size)               # an involution of the ground set
-            src = np.flatnonzero(masks[y] & ~masks[origin])
-            dst = np.flatnonzero(masks[origin] & ~masks[y])
-            sigma[src], sigma[dst] = dst, src
-            mapped = masks[:, sigma]
-            perms[i] = (binom[np.arange(size), mapped.cumsum(axis=1)]
-                        * mapped).sum(axis=1)
-    else:
+    if space.translation is None:
         raise ValueError(
             f"no built-in isometry action for kind {space.kind!r}; "
             "supply an isometry file")
+    perms = np.array([space.translation(y, origin) for y in design.points], dtype=int)
     fault = _validate_action(space, design, origin, perms)
     if fault is not None:
         raise ValueError(fault[1])

@@ -62,7 +62,10 @@ class Space:
     scheme this module builds and None for graphs.  ``classes`` and
     ``labels`` take a value or a builder: the built-in families pass
     builders, so the N x N class matrix exists only once vertex-level work
-    reads it, and the scheme algebra never does.
+    reads it, and the scheme algebra never does.  ``translation(y, o)`` is
+    the image array of an isometry taking y to o; the built-in families
+    carry theirs, and files and graphs, which have None, need an isometry
+    file.
     """
 
     kind: str                      # "graph", "scheme", "hamming", "johnson", "cycle"
@@ -73,6 +76,8 @@ class Space:
     laplacian_class: int = 1
     intersection_numbers: np.ndarray | None = None   # (m+1, m+1, m+1) int
     labels: tuple | None = field(default=None, repr=False)  # words, subsets
+    translation: Callable[[int, int], np.ndarray] | None = field(
+        default=None, repr=False, compare=False)
 
     @property
     def is_scheme(self) -> bool:
@@ -183,7 +188,7 @@ def _finish_space(kind, classes, m, laplacian_class) -> Space:
     """A space from its class matrix, checked at vertex level: files and
     graphs, whose p is trusted only after ``validate_scheme``."""
     n = classes.shape[0]
-    counts = np.stack([(classes == i).sum(axis=1) for i in range(m + 1)], axis=1)
+    counts = _class_counts(classes, m)
     if not (counts == counts[0]).all():
         bad = int(np.argwhere((counts != counts[0]).any(axis=1))[0, 0])
         raise SchemeError(f"space is not regular: witness vertex {bad}")
@@ -202,12 +207,19 @@ def _finish_space(kind, classes, m, laplacian_class) -> Space:
     )
 
 
+def _class_counts(classes: np.ndarray, m: int) -> np.ndarray:
+    """counts[x, i] = #{y : c(x, y) = i}, for classes in 0..m."""
+    n = classes.shape[0]
+    cells = classes + (m + 1) * np.arange(n)[:, None]
+    return np.bincount(cells.ravel(), minlength=n * (m + 1)).reshape(n, m + 1)
+
+
 def _check_relation(r: int, m: int) -> None:
     if not 1 <= r <= m:
         raise SchemeError(f"laplacian class {r} out of range 1..{m}")
 
 
-def _family_space(kind, n, m, rows, laplacian_class, labels) -> Space:
+def _family_space(kind, n, m, rows, laplacian_class, labels, translation) -> Space:
     """A built-in family's space from m+2 rows of its class matrix.
 
     ``rows(xs)`` returns the class-matrix rows of the vertices ``xs``; the
@@ -230,6 +242,7 @@ def _family_space(kind, n, m, rows, laplacian_class, labels) -> Space:
         laplacian_class=laplacian_class,
         intersection_numbers=p,
         labels=labels,
+        translation=translation,
     )
 
 
@@ -258,14 +271,16 @@ def hamming(n: int, q: int, laplacian_class: int = 1) -> Space:
     """Hamming scheme H(n, q): words of length n over {0..q-1}.
 
     Vertex x encodes the word with digit i equal to (x // q**i) % q; the
-    relation class of a pair is its Hamming distance.
+    relation class of a pair is its Hamming distance.  The isometry taking
+    y to o adds o - y to every word, coordinatewise mod q.
     """
     if q < 2 or n < 1:
         raise SchemeError("hamming requires q >= 2 and n >= 1")
     size = q ** n
     if size > SIZE_CAP:
         raise SchemeError(f"hamming({n},{q}) has {size} vertices > cap {SIZE_CAP}")
-    digits = (np.arange(size)[:, None] // q ** np.arange(n)[None, :]) % q
+    weights = q ** np.arange(n)
+    digits = (np.arange(size)[:, None] // weights) % q
 
     def rows(xs):
         out = np.zeros((len(xs), size), dtype=np.int64)
@@ -273,36 +288,47 @@ def hamming(n: int, q: int, laplacian_class: int = 1) -> Space:
             out += col[xs, None] != col[None, :]
         return out
 
+    def translation(y, o):
+        return ((digits - digits[y] + digits[o]) % q) @ weights
+
     return _family_space("hamming", size, n, rows, laplacian_class,
-                         labels=lambda: tuple(map(tuple, digits)))
-
-
-def _colex_rank(subset: tuple[int, ...]) -> int:
-    # subset is 1-based and sorted ascending
-    return sum(math.comb(c - 1, k + 1) for k, c in enumerate(subset))
+                         lambda: tuple(map(tuple, digits)), translation)
 
 
 def johnson(n: int, w: int, laplacian_class: int = 1) -> Space:
-    """Johnson scheme J(n, w): w-subsets of {1..n} in colex rank order.
+    """Johnson scheme J(n, w): w-subsets of {1..n} in colex order.
 
-    Pair class i means the subsets share w - i elements.
+    Pair class i means the subsets share w - i elements.  The isometry
+    taking y to o swaps y - o with o - y, elementwise in ascending order,
+    on the ground set.
     """
     if not 1 <= w <= n // 2:
         raise SchemeError("johnson requires 1 <= w <= n/2")
     size = math.comb(n, w)
     if size > SIZE_CAP:
         raise SchemeError(f"johnson({n},{w}) has {size} vertices > cap {SIZE_CAP}")
-    subsets = sorted((tuple(c) for c in combinations(range(1, n + 1), w)),
-                     key=_colex_rank)
+    # colex order compares the largest elements first; vertex v has colex rank v
+    subsets = sorted(combinations(range(1, n + 1), w), key=lambda s: s[::-1])
     masks = np.zeros((size, n), dtype=int)
-    for v, s in enumerate(subsets):
-        masks[v, [e - 1 for e in s]] = 1
+    np.put_along_axis(masks, np.array(subsets) - 1, 1, axis=1)
+    # colex rank: the a-th smallest element, at 0-based position e, adds comb(e, a)
+    binom = np.array([[math.comb(e, a) for a in range(w + 1)] for e in range(n)])
+
+    def translation(y, o):
+        sigma = np.arange(n)                    # an involution of the ground set
+        src = np.flatnonzero(masks[y] > masks[o])
+        dst = np.flatnonzero(masks[o] > masks[y])
+        sigma[src], sigma[dst] = dst, src
+        mapped = masks[:, sigma]
+        return (binom[np.arange(n), mapped.cumsum(axis=1)] * mapped).sum(axis=1)
+
     return _family_space("johnson", size, w, lambda xs: w - masks[xs] @ masks.T,
-                         laplacian_class, labels=tuple(subsets))
+                         laplacian_class, tuple(subsets), translation)
 
 
 def cycle(n: int, laplacian_class: int = 1) -> Space:
-    """Cycle graph C_n as a scheme; the pair class is circular distance."""
+    """Cycle graph C_n as a scheme; the pair class is circular distance,
+    and the isometry taking y to o is the rotation by o - y."""
     if n < 3:
         raise SchemeError("cycle requires n >= 3")
     if n > SIZE_CAP:
@@ -313,7 +339,8 @@ def cycle(n: int, laplacian_class: int = 1) -> Space:
         diff = np.abs(xs[:, None] - idx)
         return np.minimum(diff, n - diff)
 
-    return _family_space("cycle", n, n // 2, rows, laplacian_class, labels=None)
+    return _family_space("cycle", n, n // 2, rows, laplacian_class, None,
+                         lambda y, o: (idx - y + o) % n)
 
 
 def build_named_space(spec: str, laplacian_class: int = 1) -> Space:
@@ -535,7 +562,7 @@ def validate_scheme(space: Space) -> ValidationReport:
     if (classes != classes.T).any():
         x, y = np.argwhere(classes != classes.T)[0]
         failures.append(f"classification not symmetric at pair ({x},{y})")
-    counts = np.stack([(classes == i).sum(axis=1) for i in range(m + 1)], axis=1)
+    counts = _class_counts(classes, m)
     if (counts != counts[0]).any():
         x = int(np.argwhere((counts != counts[0]).any(axis=1))[0, 0])
         failures.append(

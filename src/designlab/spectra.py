@@ -108,9 +108,8 @@ def subset_eigen(space: Space, omega, tol: float = DEFAULT_TOL) -> SubsetEig:
         raise ValueError("omega is empty")
     if omega.min() < 0 or omega.max() >= space.n_vertices:
         raise ValueError("omega contains out-of-range vertices")
-    lap = space.laplacian()
-    sub = lap[np.ix_(omega, omega)]
     adj = space.classes[np.ix_(omega, omega)] == space.laplacian_class
+    sub = space.degree * np.eye(len(omega)) - adj
     val, vec = _min_block_eigen(sub, adj, tol, space.degree)
     psi = np.zeros(space.n_vertices)
     psi[omega] = _sign_normalize(vec, tol)

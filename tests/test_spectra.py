@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,3 +218,19 @@ def test_whole_space_eigenvalue_is_clamped_to_zero():
         lams, _ = ball_eigenvalues(space, 0)
         assert lams[-1] == 0.0
         assert dl.subset_eigen(space, range(space.n_vertices)).value == 0.0
+
+
+def test_dense_route_builds_no_n_by_n_laplacian():
+    # with the class matrix already read, the 1024 x 1024 float Laplacian
+    # alone would be 8 MB; ball 1 of H(10,2) needs an 11 x 11 block
+    space = dl.hamming(10, 2)
+    ball = space.ball(0, 1)
+    dl.subset_eigen(dl.cycle(5), [0, 1])     # one-time lazy imports, about 1 MB
+    tracemalloc.start()
+    try:
+        eig = dl.subset_eigen(space, ball)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eig.value == pytest.approx(10 - math.sqrt(10), abs=TOL)
+    assert peak < 2 ** 20
