@@ -70,11 +70,11 @@ def _design_fault(points: np.ndarray, weights: np.ndarray, n_vertices: int | Non
 def load_design(path: str, n_vertices: int | None = None) -> Design:
     """Read a design file: one ``<vertex> [weight]`` record per line."""
     rec = Records(path)
-    if not rec.tokens:
+    if not rec.lines:
         raise ValueError(f"{path}: empty design file")
     # a record without a weight has weight 1
     points, weights = np.array([(rec.ints(i, None, "vertex [weight]") + [1])[:2]
-                                for i in range(len(rec.tokens))]).T
+                                for i in range(len(rec.lines))]).T
     fault = _design_fault(points, weights, n_vertices)
     if fault is not None:
         raise rec.error(*fault)
@@ -286,11 +286,11 @@ def load_isometries(path: str, space: Space, design: Design,
     rec = Records(path)
     perms = []
     pos = 0
-    while pos < len(rec.tokens):
-        head = rec.tokens[pos]
+    while pos < len(rec.lines):
+        head = rec.lines[pos].split()
         if head[0] != "perm" or len(head) != 2 or rec.int_at(pos, head[1]) != n:
             raise rec.error(pos, f"expected 'perm {n}' header at block {len(perms)}")
-        if pos + 1 + n > len(rec.tokens):
+        if pos + 1 + n > len(rec.lines):
             raise rec.error(pos, f"truncated permutation block {len(perms)}")
         perms.append(rec.table(None, "image", pos + 1, pos + 1 + n)[:, 0])
         pos += 1 + n
@@ -410,7 +410,17 @@ def min_design_search(space: Space, spectral: SpectralData, t: float,
     """Smallest unweighted design of strength t, by pruned exhaustive search.
 
     Returns (Design, size) or (None, None) when nothing of size <= max_size
-    works.  Capped at N <= 32 and max_size <= 8.
+    works; the design is the lexicographically first sorted tuple of that
+    size.  Capped at N <= 32 and max_size <= 8.
+
+    A built-in family (``space.translation`` set) is searched through
+    vertex 0 only.  Its isometry taking a design point to 0 keeps every
+    class, so it commutes with every A_i and hence with every E_j, and it
+    carries a size-k design to a size-k design through 0.  So the smallest
+    size is the same, and the lexicographically first design of that size,
+    which the depth-first search returns, starts with 0.  Vertex 0 still
+    passes the prune and leaf tests like any other point.  Files and
+    graphs, which carry no isometries, try every first point.
     """
     n = space.n_vertices
     if n > 32 or max_size > 8:
@@ -423,25 +433,27 @@ def min_design_search(space: Space, spectral: SpectralData, t: float,
     # cols[x, a] = E_j e_x for the a-th active j; reach = most one point cancels
     cols = np.stack([spectral.components(e)[active] for e in np.eye(n)])
     reach = np.linalg.norm(cols, axis=2).max(axis=0)
+    firsts = 1 if space.translation is not None else n
     for size in range(1, max_size + 1):
-        found = _extend(cols, reach, tol * math.sqrt(size), 0.0, [], size)
+        found = _extend(cols, reach, tol * math.sqrt(size), 0.0, [], size, firsts)
         if found is not None:
             return make_design(found, n_vertices=n), size
     return None, None
 
 
-def _extend(cols, reach, tol, partial, chosen, left):
-    """First ascending completion of ``chosen`` by ``left`` points, or None."""
+def _extend(cols, reach, tol, partial, chosen, left, stop):
+    """First ascending completion of ``chosen`` by ``left`` points, the
+    next of them below ``stop``, or None."""
     if left == 0:
         return chosen
     start = chosen[-1] + 1 if chosen else 0
-    children = partial + cols[start:len(cols) - left + 1]
+    children = partial + cols[start:min(stop, len(cols) - left + 1)]
     # keep a child while the points after it can still cancel each component;
     # with none after it (left == 1) this is the strength-t test itself
     fits = (np.linalg.norm(children, axis=2) <= (left - 1) * reach + tol).all(axis=1)
     for i in np.flatnonzero(fits):
         hit = _extend(cols, reach, tol, children[i], [*chosen, start + int(i)],
-                      left - 1)
+                      left - 1, len(cols))
         if hit is not None:
             return hit
     return None

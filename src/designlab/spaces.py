@@ -16,7 +16,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import chain, combinations
+from itertools import combinations, compress
 
 import numpy as np
 
@@ -377,26 +377,34 @@ def build_named_space(spec: str, laplacian_class: int = 1) -> Space:
 # file format
 
 
-def _is_record(line: str) -> bool:
-    """Data files skip blank lines and comments: lines whose first character is '#'."""
-    return not (line.isspace() or line.startswith("#"))
+def _record_flags(lines: list[str]) -> list[bool]:
+    """Which lines are records: data files skip blank lines and comments,
+    lines whose first character is '#'.  One pass over the list, with no
+    Python call per line."""
+    return [ln != "" and not ln.isspace() and ln[0] != "#" for ln in lines]
 
 
 class Records:
-    """The records of a data file as token lists, for all four loaders.
+    """The records of a data file, for all four loaders.
 
-    Line numbers are not kept: ``error`` reads the file again to find one.
+    The file is read once.  ``lines`` are its record lines as strings,
+    without their newline: a line's tokens are split only when ``ints``, a
+    header check or an error message needs them, and ``table`` splits a
+    whole block at once.  Lines are the universal-newline text split at
+    "\\n" alone (``str.splitlines`` would also split at form feeds and
+    other separators, which would shift line numbers).
     """
 
     def __init__(self, path: str):
         self.path = path
         with open(path, encoding="utf-8") as fh:
-            self.tokens = [ln.split() for ln in fh if _is_record(ln)]
+            lines = fh.read().split("\n")
+        self._flags = _record_flags(lines)
+        self.lines = list(compress(lines, self._flags))
 
     def error(self, index: int, message: str) -> SchemeError:
         """A ``PATH:LINE: message`` error for record ``index``."""
-        with open(self.path, encoding="utf-8") as fh:
-            lineno = [no for no, ln in enumerate(fh, 1) if _is_record(ln)][index]
+        lineno = list(compress(range(1, len(self._flags) + 1), self._flags))[index]
         return SchemeError(f"{self.path}:{lineno}: {message}")
 
     def int_at(self, index: int, text: str) -> int:
@@ -410,7 +418,7 @@ class Records:
     def ints(self, index: int, keyword: str | None, fields: str) -> list[int]:
         """Record ``index`` as ``keyword`` (if any) and one integer per name
         in ``fields``; bracketed names are optional."""
-        tok = self.tokens[index]
+        tok = self.lines[index].split()
         values = tok[1:] if keyword else tok
         most = len(fields.split())
         least = most - fields.count("[")
@@ -421,16 +429,31 @@ class Records:
 
     def table(self, keyword: str | None, fields: str, start: int = 0,
               stop: int | None = None) -> np.ndarray:
-        """``ints`` of records ``start:stop`` as one array, converted in one
-        go unless a record is malformed."""
-        rows = self.tokens[start:stop]
+        """``ints`` of records ``start:stop`` as one (rows, fields) array.
+
+        The block is joined and split once, and its tokens are converted in
+        one go when every line is known to hold one record: with a keyword,
+        every line starts with it, every width-th token is it, and there
+        are width tokens per line.  Once the tokens between those heads
+        convert as integers, the heads are exactly the line starts (the
+        heads test alone would take 'rel 1 2' then '3 rel 4 5 6').  Without
+        a keyword, that is known only for one field per line.  Every other
+        block, and one whose tokens do not all convert, goes record by
+        record through ``ints``, which names the first bad line.
+        """
+        rows = self.lines[start:stop]
         count = len(fields.split())
         width = count + bool(keyword)
-        flat = list(chain.from_iterable(rows))
-        heads = set(flat[::width]) if keyword else {None}  # when all are width long
-        if set(map(len, rows)) <= {width} and heads <= {keyword}:
-            if keyword:
-                del flat[::width]
+        block = "\n".join(rows)
+        flat = block.split()
+        if keyword:
+            fast = (("\n" + block).count("\n" + keyword) == len(rows)
+                    and flat[::width] == [keyword] * len(rows)
+                    and len(flat) == width * len(rows))
+            del flat[::width]
+        else:
+            fast = count == 1 and len(flat) == len(rows)
+        if fast:
             try:
                 return np.array(flat, dtype=np.int64).reshape(len(rows), count)
             except (ValueError, OverflowError):
@@ -446,7 +469,7 @@ def load_space(path: str, laplacian_class: int = 1) -> Space:
     pair, or ``graph <N>`` followed by ``edge <u> <v>`` lines.  Scheme files
     are validated against the scheme axioms on load.
     """
-    kind, m, classes = _read_space(path)    # its token lists die before validation
+    kind, m, classes = _read_space(path)    # its record lines die before validation
     if kind == "graph":
         return _finish_space("graph", classes, m, laplacian_class)
     if (classes < 0).any():
@@ -462,9 +485,9 @@ def load_space(path: str, laplacian_class: int = 1) -> Space:
 def _read_space(path: str) -> tuple[str, int, np.ndarray]:
     """(kind, m, classes) of a space file; an unlisted scheme pair is -1."""
     rec = Records(path)
-    if not rec.tokens:
+    if not rec.lines:
         raise SchemeError(f"{path}: empty space file")
-    kind = rec.tokens[0][0]
+    kind = rec.lines[0].split()[0]
     if kind not in ("scheme", "graph"):
         raise rec.error(0, f"unknown header {kind!r}")
     if kind == "scheme":
@@ -485,7 +508,7 @@ def _read_space(path: str) -> tuple[str, int, np.ndarray]:
     bad = (lo < 0) | (hi >= n) | (lo == hi) | (c < 1) | (c > m)
     if bad.any():
         i = 1 + int(np.argmax(bad))
-        raise rec.error(i, f"'{' '.join(rec.tokens[i])}' is a loop or out of range")
+        raise rec.error(i, f"'{' '.join(rec.lines[i].split())}' is a loop or out of range")
     classes = np.full((n, n), -1 if kind == "scheme" else 2)
     np.fill_diagonal(classes, 0)
     classes[lo, hi] = c                 # a pair listed twice keeps one class,

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import DEFAULT_TOL, Records, Space, component_labels, quotient_matrix
+from .spaces import (_CHUNK, DEFAULT_TOL, Records, Space, component_labels,
+                     quotient_matrix)
 
 
 @dataclass(frozen=True)
@@ -32,11 +33,23 @@ class SubsetEig:
 
 
 def laplacian_apply(space: Space, f: np.ndarray) -> np.ndarray:
-    """Apply the Laplacian of the chosen relation class to f."""
+    """Apply the Laplacian of the chosen relation class to f.
+
+    The adjacency is formed from the class matrix in row blocks of about
+    ``_CHUNK`` entries, never as one N x N float matrix.  A block is a
+    whole multiple of 64 rows, so that no block edge falls inside the small
+    groups of rows that BLAS sums together: with one BLAS thread the result
+    is the dense product's bit for bit.
+    """
     f = np.asarray(f, dtype=float)
-    if f.shape != (space.n_vertices,):
+    n = space.n_vertices
+    if f.shape != (n,):
         raise ValueError("function has wrong length")
-    return space.degree * f - space.adjacency(space.laplacian_class) @ f
+    classes, r = space.classes, space.laplacian_class
+    step = max(64, _CHUNK // n // 64 * 64)
+    adj_f = np.concatenate([(classes[lo:lo + step] == r).astype(float) @ f
+                            for lo in range(0, n, step)])
+    return space.degree * f - adj_f
 
 
 def dirichlet_form(space: Space, f: np.ndarray, g: np.ndarray | None = None) -> float:

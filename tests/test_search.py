@@ -57,3 +57,46 @@ def test_search_does_not_build_projectors(make, tmp_path):
     d, size = dl.min_design_search(space, spec, spec.eigenvalues[1] + 1e-3, 4)
     assert size is not None
     assert "projectors" not in vars(spec)
+
+
+@pytest.mark.parametrize("make", [lambda: dl.cycle(12), lambda: dl.hamming(3, 2),
+                                  lambda: dl.johnson(5, 2)])
+def test_search_through_vertex_0_matches_the_full_search(make, tmp_path):
+    # a scheme file carries no isometries, so it takes the full search
+    space = make()
+    path = tmp_path / "space.txt"
+    dl.save_space(space, str(path))
+    saved = dl.load_space(str(path))
+    assert space.translation is not None and saved.translation is None
+    spec, saved_spec = dl.spectral_decomposition(space), dl.spectral_decomposition(saved)
+    ts = [0.3] + [th + d for th in spec.eigenvalues[1:] for d in (-1e-3, 1e-3)]
+    for t in ts:
+        for max_size in (4, 8):
+            got = []
+            for sp, sd in ((space, spec), (saved, saved_spec)):
+                d, size = dl.min_design_search(sp, sd, t, max_size)
+                got.append((None if d is None else d.points.tolist(), size))
+            assert got[0] == got[1], t
+
+
+def test_search_on_a_family_extends_from_vertex_0_only(tmp_path, monkeypatch):
+    space = dl.cycle(24)
+    path = tmp_path / "c24.txt"
+    dl.save_space(space, str(path))
+    saved = dl.load_space(str(path))
+    extend = dl.designs._extend
+    calls = []
+
+    def counted(*args):
+        calls[-1] += 1
+        return extend(*args)
+
+    monkeypatch.setattr(dl.designs, "_extend", counted)
+    found = []
+    for sp in (space, saved):
+        calls.append(0)
+        d, size = dl.min_design_search(sp, dl.spectral_decomposition(sp), 3.0, 8)
+        found.append((d.points.tolist(), size))
+    assert found[0] == found[1]
+    assert found[0][0][0] == 0
+    assert calls[0] < calls[1]

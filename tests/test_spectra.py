@@ -234,3 +234,30 @@ def test_dense_route_builds_no_n_by_n_laplacian():
         tracemalloc.stop()
     assert eig.value == pytest.approx(10 - math.sqrt(10), abs=TOL)
     assert peak < 2 ** 20
+
+
+@pytest.mark.parametrize("space", [dl.hamming(8, 2), dl.johnson(10, 4)],
+                         ids=["H(8,2)", "J(10,4)"])
+def test_laplacian_in_row_blocks_is_the_dense_product(space, monkeypatch):
+    monkeypatch.setattr(dl.spectra, "_CHUNK", 1)      # 64-row blocks
+    rng = np.random.default_rng(3)
+    adj = space.adjacency(space.laplacian_class)
+    for _ in range(5):
+        f = rng.standard_normal(space.n_vertices)
+        assert np.array_equal(dl.laplacian_apply(space, f), space.degree * f - adj @ f)
+
+
+def test_dirichlet_form_builds_no_n_by_n_adjacency():
+    # the 2048 x 2048 float adjacency of H(11,2) alone would be 32 MB
+    space = dl.hamming(11, 2)
+    space.classes                                   # read before tracing
+    f = np.random.default_rng(4).standard_normal(space.n_vertices)
+    dl.dirichlet_form(dl.cycle(5), np.ones(5))      # one-time lazy imports
+    tracemalloc.start()
+    try:
+        energy = dl.dirichlet_form(space, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert energy == pytest.approx(dl.dirichlet_form_edges(space, f), rel=1e-9)
+    assert peak < 16 * 2 ** 20
