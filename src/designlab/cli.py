@@ -53,7 +53,9 @@ def _global_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=0,
                         help="checked to be >= 0, no other effect; BLAS threads come "
                         "from OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, set before "
-                        "Python starts; results do not depend on them")
+                        "Python starts; scheme-level results do not depend on them, "
+                        "cover's dirichlet_lhs above 1024 vertices can differ in "
+                        "its last digits")
     parser.add_argument("--relation", type=int, default=1,
                         help="relation class defining the Laplacian")
     parser.add_argument("--origin", type=int, default=0)

@@ -62,10 +62,12 @@ class Space:
     scheme this module builds and None for graphs.  ``classes`` and
     ``labels`` take a value or a builder: the built-in families pass
     builders, so the N x N class matrix exists only once vertex-level work
-    reads it, and the scheme algebra never does.  ``translation(y, o)`` is
-    the image array of an isometry taking y to o; the built-in families
-    carry theirs, and files and graphs, which have None, need an isometry
-    file.
+    reads it, and the scheme algebra never does.  ``rows(xs)`` gives the
+    class-matrix rows of the vertices ``xs`` from whatever ``classes``
+    holds: the matrix once built, the family's builder before that, so
+    reading one row builds no N x N matrix.  ``translation(y, o)`` is the
+    image array of an isometry taking y to o; the built-in families carry
+    theirs, and files and graphs, which have None, need an isometry file.
     """
 
     kind: str                      # "graph", "scheme", "hamming", "johnson", "cycle"
@@ -95,6 +97,12 @@ class Space:
     def laplacian(self) -> np.ndarray:
         r = self.laplacian_class
         return self.degree * np.eye(self.n_vertices) - self.adjacency(r)
+
+    def rows(self, xs) -> np.ndarray:
+        """Rows ``xs`` of the class matrix, built only for those vertices
+        while the matrix itself is unbuilt."""
+        classes = vars(self)["classes"]
+        return classes(xs) if callable(classes) else classes[xs]
 
     def sphere(self, origin: int, i: int) -> np.ndarray:
         """Vertices in relation class i with ``origin``."""
@@ -222,8 +230,9 @@ def _check_relation(r: int, m: int) -> None:
 def _family_space(kind, n, m, rows, laplacian_class, labels, translation) -> Space:
     """A built-in family's space from m+2 rows of its class matrix.
 
-    ``rows(xs)`` returns the class-matrix rows of the vertices ``xs``; the
-    whole matrix is built only when ``classes`` is first read.  The family
+    ``rows(xs)`` returns the class-matrix rows of the vertices ``xs``; it
+    is the space's ``classes`` builder, which builds the whole matrix when
+    ``classes`` is first read, called with no argument.  The family
     is a scheme by construction, so regularity is not counted and
     connectivity is read off p: the spheres that relation r reaches from
     the origin's sphere must hold all N vertices.
@@ -237,7 +246,7 @@ def _family_space(kind, n, m, rows, laplacian_class, labels, translation) -> Spa
         kind=kind,
         n_vertices=n,
         n_classes=m,
-        classes=lambda: rows(np.arange(n)),
+        classes=lambda xs=slice(None): rows(np.arange(n)[xs]),
         valencies=valencies,
         laplacian_class=laplacian_class,
         intersection_numbers=p,
@@ -259,12 +268,20 @@ def _intersection_numbers(row_of, m: int) -> np.ndarray:
     if size > _P_TABLE_CAP:
         raise SchemeError(f"p^k_ij for m = {m} needs {size / 2 ** 30:.1f} GiB "
                           f"> cap {_P_TABLE_CAP / 2 ** 30:.0f} GiB")
-    p = np.zeros((m + 1, (m + 1) ** 2), dtype=int)
+    p = np.zeros((m + 1, m + 1, m + 1), dtype=int)
+    for k, _, layer in _p_layers(row_of, m):
+        p[k] = layer
+    return p
+
+
+def _p_layers(row_of, m: int):
+    """(k, y, p^k) for each class k in row 0, p^k read off the pair (0, y),
+    y the first class-k vertex: one (m+1) x (m+1) layer at a time."""
     row0 = row_of(np.arange(1))[0]
     ks, firsts = np.unique(row0, return_index=True)
-    for k, row in zip(ks, row_of(firsts)):
-        p[k] = np.bincount(row0 * (m + 1) + row, minlength=(m + 1) ** 2)
-    return p.reshape(m + 1, m + 1, m + 1)
+    for k, y, row in zip(ks, firsts, row_of(firsts)):
+        yield k, y, np.bincount(row0 * (m + 1) + row,
+                                minlength=(m + 1) ** 2).reshape(m + 1, m + 1)
 
 
 def hamming(n: int, q: int, laplacian_class: int = 1) -> Space:
@@ -467,15 +484,19 @@ def load_space(path: str, laplacian_class: int = 1) -> Space:
 
     ``scheme <N> <m>`` followed by ``rel <u> <v> <c>`` for every unordered
     pair, or ``graph <N>`` followed by ``edge <u> <v>`` lines.  Scheme files
-    are validated against the scheme axioms on load.
+    are validated against the scheme axioms on load.  Every error names
+    the file.
     """
     kind, m, classes = _read_space(path)    # its record lines die before validation
-    if kind == "graph":
-        return _finish_space("graph", classes, m, laplacian_class)
     if (classes < 0).any():
         u, v = np.argwhere(classes < 0)[0]
         raise SchemeError(f"{path}: pair ({u},{v}) has no classification")
-    space = _finish_space("scheme", classes, m, laplacian_class)
+    try:
+        space = _finish_space(kind, classes, m, laplacian_class)
+    except SchemeError as exc:
+        raise SchemeError(f"{path}: {exc}") from None
+    if kind == "graph":
+        return space
     report = validate_scheme(space)
     if not report.valid:
         raise SchemeError(f"{path}: scheme axiom violation: {report.failures[0]}")
@@ -549,10 +570,14 @@ def is_metric(p: np.ndarray) -> bool:
 def validate_scheme(space: Space) -> ValidationReport:
     """Check the symmetric association scheme axioms exhaustively.
 
-    p^k_ij is read off one pair per class.  When that p is metric
-    (``is_metric``), one layer of it is checked: for every pair (x, y) and
-    every j, #{z ~1 x : c(z, y) = j} = p^{c(x,y)}_{1j}, which is N^2 k_1
-    gathers.  This is enough.  By induction on c(x, y), a pair of class
+    p^k_ij is the space's own ``intersection_numbers``, the table that
+    the quotient, the spectrum and the bounds read; it must equal, layer by
+    layer, the p read off one pair (0, y) per class, and a class that does
+    not occur must have p^k = 0.  A space that carries none (graphs, a
+    hand-built ``Space``) has its p read off those pairs.  When that p is
+    metric (``is_metric``), one layer of it is checked: for every pair
+    (x, y) and every j, #{z ~1 x : c(z, y) = j} = p^{c(x,y)}_{1j}, which is
+    N^2 k_1 gathers.  This is enough.  By induction on c(x, y), a pair of class
     k >= 1 has a relation-1 neighbour of x in class k - 1 with y, and no
     neighbour of x is in a class below k - 1; with c(x, y) = 0 only for
     x = y and c symmetric, c is the graph distance in relation 1.  That
@@ -563,7 +588,7 @@ def validate_scheme(space: Space) -> ValidationReport:
     Its p is the one read off row 0.  Other schemes, and any that fail the
     metric check, compare A_i A_j with p at every pair for all i <= j,
     which names the failures and their witness pairs.  On success the
-    report carries p^k_ij.
+    report carries that p, the space's own table when it has one.
     """
     classes = space.classes
     n, m = space.n_vertices, space.n_classes
@@ -595,12 +620,33 @@ def validate_scheme(space: Space) -> ValidationReport:
     if failures:
         return ValidationReport(False, failures)
 
-    p = _intersection_numbers(classes.__getitem__, m)
-    if not (is_metric(p) and _metric_layer_holds(classes, p)):
+    p = space.intersection_numbers
+    if p is None:
+        p = _intersection_numbers(classes.__getitem__, m)
+    else:
+        failures = _row0_mismatches(classes, p, m)
+    if not failures and not (is_metric(p) and _metric_layer_holds(classes, p)):
         failures = _product_failures(classes, p)
     if failures:
         return ValidationReport(False, failures)
     return ValidationReport(True, [], intersection_numbers=p)
+
+
+def _row0_mismatches(classes: np.ndarray, p: np.ndarray, m: int) -> list[str]:
+    """Where a carried p differs from the p read off row 0: the first entry
+    of each differing layer, with its witness pair (0, y)."""
+    if p.shape != (m + 1,) * 3:
+        return [f"intersection numbers have shape {p.shape}, not {(m + 1,) * 3}"]
+    failures, seen = [], np.zeros(m + 1, dtype=bool)
+    for k, y, layer in _p_layers(classes.__getitem__, m):
+        seen[k] = True
+        if (layer != p[k]).any():
+            i, j = np.argwhere(layer != p[k])[0]
+            failures.append(f"p^{k}_{{{i},{j}}} is {p[k, i, j]}, but pair (0,{y}) "
+                            f"gives {layer[i, j]}")
+    for k in np.flatnonzero(~seen & p.reshape(m + 1, -1).any(axis=1)):
+        failures.append(f"class {k} does not occur, but p^{k}_ij is not 0")
+    return failures
 
 
 def _metric_layer_holds(classes: np.ndarray, p: np.ndarray) -> bool:
@@ -809,8 +855,7 @@ def _graph_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
     def components(f: np.ndarray) -> np.ndarray:
         return np.add.reduceat(vecs * (f @ vecs), starts, axis=1).T
 
-    ring = space.classes[origin]
-    sizes = np.bincount(ring, minlength=m + 1)
+    ring, sizes = space.rows([origin])[0], space.valencies
     cols = (n / multiplicities)[:, None] * components(np.eye(1, n, origin)[0])
     zonal = np.stack([np.bincount(ring, weights=col, minlength=m + 1)
                       for col in cols])
@@ -838,8 +883,7 @@ def spherical_projection(space: Space, spectral: SpectralData,
     f = np.asarray(f, dtype=float)
     if f.shape != (space.n_vertices,):
         raise ValueError("function has wrong length")
-    ring = space.classes[spectral.origin]
-    sizes = np.bincount(ring, minlength=space.n_classes + 1)
+    ring, sizes = space.rows([spectral.origin])[0], space.valencies
     sums = np.bincount(ring, weights=f, minlength=space.n_classes + 1)
     avg = np.divide(sums, sizes, out=np.zeros_like(sums), where=sizes > 0)
     return avg[ring]

@@ -142,7 +142,7 @@ def spherical_subset_eigen(space: Space, origin: int, spheres,
     val, u = _quotient_eigen(space, sym, tol)
     vals = np.zeros(space.n_classes + 1)
     vals[list(spheres)] = u / root     # back to sphere-function coordinates
-    ring = space.classes[origin]
+    ring = space.rows([origin])[0]
     psi = _sign_normalize(vals[ring], tol)
     psi /= np.linalg.norm(psi)
     omega = np.flatnonzero(np.isin(ring, spheres))
@@ -159,7 +159,7 @@ def sphere_union_eigen(space: Space, origin: int, spheres,
     """
     if space.intersection_numbers is not None:
         return spherical_subset_eigen(space, origin, spheres, tol)
-    omega = np.flatnonzero(np.isin(space.classes[origin], list(spheres)))
+    omega = np.flatnonzero(np.isin(space.rows([origin])[0], list(spheres)))
     return subset_eigen(space, omega, tol)
 
 
