@@ -246,7 +246,7 @@ def _cmd_cover(args, out: Reporter) -> int:
     space = _load(args)
     spec = spaces.spectral_decomposition(space, args.origin, args.tol)
     design = designs.load_design(args.design, space.n_vertices)
-    eig = spectra.sphere_union_eigen(space, args.origin, range(args.ball + 1),
+    eig = spectra.sphere_union_eigen(space, args.origin, _spheres_arg(args, space),
                                      args.tol)
     action = None
     if args.isometries:

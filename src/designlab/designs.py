@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import _CHUNK, DEFAULT_TOL, Records, Space, SpectralData, is_metric
+from .spaces import (_CHUNK, DEFAULT_TOL, Records, Space, SpectralData, _check_origin,
+                     is_metric)
 from .spectra import SubsetEig, dirichlet_form, sphere_union_eigen, subset_eigen
 
 STRENGTH_UNBOUNDED = math.inf
@@ -154,16 +155,15 @@ def design_bound(space: Space, spectral: SpectralData, t: float,
                  subset=None, spheres=None, tol: float = DEFAULT_TOL) -> BoundReport:
     """Evaluate the lower bound for one subset.
 
-    Unions of spheres go through the quotient route when the space carries
-    intersection numbers; arbitrary subsets use the dense route.
+    Unions of spheres go through ``sphere_union_eigen``, the quotient route
+    on a scheme; arbitrary subsets use the dense route.
     """
     _check_t(t)
     if (subset is None) == (spheres is None):
         raise ValueError("give exactly one of subset or spheres")
     if spheres is not None:
-        spheres = tuple(sorted(set(int(s) for s in spheres)))
         eig = sphere_union_eigen(space, spectral.origin, spheres, tol)
-        desc = "spheres " + ",".join(map(str, spheres))
+        desc = "spheres " + ",".join(map(str, eig.spheres))
     else:
         eig = subset_eigen(space, subset, tol)
         desc = f"set of {len(eig.omega)} vertices"
@@ -268,6 +268,7 @@ def translations_to_origin(space: Space, design: Design,
     They come from ``space.translation``, which the built-in families
     carry; other spaces need a user-supplied isometry file.
     """
+    _check_origin(space, origin)
     if space.translation is None:
         raise ValueError(
             f"no built-in isometry action for kind {space.kind!r}; "
@@ -282,6 +283,7 @@ def translations_to_origin(space: Space, design: Design,
 def load_isometries(path: str, space: Space, design: Design,
                     origin: int = 0) -> IsometryAction:
     """Read an isometry file: ``perm <N>`` then N image lines per point."""
+    _check_origin(space, origin)
     n = space.n_vertices
     rec = Records(path)
     perms = []

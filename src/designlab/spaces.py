@@ -360,11 +360,19 @@ def cycle(n: int, laplacian_class: int = 1) -> Space:
                          lambda y, o: (idx - y + o) % n)
 
 
+_FAMILIES = {
+    "hamming": (hamming, ("n", "q")),
+    "johnson": (johnson, ("n", "w")),
+    "cycle": (cycle, ("n",)),
+}
+
+
 def build_named_space(spec: str, laplacian_class: int = 1) -> Space:
     """Build a space from a spec string.
 
     Accepts ``hamming:n=<n>,q=<q>``, ``johnson:n=<n>,w=<w>``,
-    ``cycle:n=<N>`` and ``file:<path>``.
+    ``cycle:n=<N>`` and ``file:<path>``.  Each of a family's parameters
+    appears exactly once; ``_FAMILIES`` names them.
     """
     if spec.startswith("file:"):
         return load_space(spec[5:], laplacian_class=laplacian_class)
@@ -372,22 +380,19 @@ def build_named_space(spec: str, laplacian_class: int = 1) -> Space:
     if not m:
         raise SchemeError(f"cannot parse space spec {spec!r}")
     family, args = m.group(1), m.group(2)
+    if family not in _FAMILIES:
+        raise SchemeError(f"unknown space family {family!r}")
+    build, names = _FAMILIES[family]
     kv = {}
     for part in args.split(","):
         key, _, val = part.partition("=")
-        if not val.lstrip("-").isdigit():
+        if key not in names or key in kv or not val.lstrip("-").isdigit():
             raise SchemeError(f"bad parameter {part!r} in spec {spec!r}")
         kv[key] = int(val)
-    try:
-        if family == "hamming":
-            return hamming(kv["n"], kv["q"], laplacian_class)
-        if family == "johnson":
-            return johnson(kv["n"], kv["w"], laplacian_class)
-        if family == "cycle":
-            return cycle(kv["n"], laplacian_class)
-    except KeyError as exc:
-        raise SchemeError(f"spec {spec!r} missing parameter {exc}") from None
-    raise SchemeError(f"unknown space family {family!r}")
+    missing = [name for name in names if name not in kv]
+    if missing:
+        raise SchemeError(f"spec {spec!r} missing parameter {missing[0]!r}")
+    return build(*(kv[name] for name in names), laplacian_class=laplacian_class)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +420,14 @@ class Records:
     def __init__(self, path: str):
         self.path = path
         with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+            try:
+                lines = fh.read().split("\n")
+            except UnicodeDecodeError as exc:
+                # one whole-file decode: exc.object is the file, exc.start
+                # its byte offset; lines end at \n, \r\n or \r
+                head = exc.object[:exc.start]
+                line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
+                raise SchemeError(f"{path}:{line}: not UTF-8 text") from None
         self._flags = _record_flags(lines)
         self.lines = list(compress(lines, self._flags))
 
@@ -627,6 +639,9 @@ def validate_scheme(space: Space) -> ValidationReport:
         failures = _row0_mismatches(classes, p, m)
     if not failures and not (is_metric(p) and _metric_layer_holds(classes, p)):
         failures = _product_failures(classes, p)
+    if not np.array_equal(space.valencies, counts[0]):
+        failures.append(f"valencies {space.valencies.tolist()} differ from the "
+                        f"class counts {counts[0].tolist()} of every vertex")
     if failures:
         return ValidationReport(False, failures)
     return ValidationReport(True, [], intersection_numbers=p)
@@ -698,6 +713,23 @@ def _product_failures(classes: np.ndarray, p: np.ndarray) -> list[str]:
 # spectral algebra
 
 
+def _check_origin(space: Space, origin: int) -> None:
+    """The origin of every sphere and spectral route is a vertex, 0..N-1."""
+    if not 0 <= origin < space.n_vertices:
+        raise SchemeError(f"origin {origin} out of range")
+
+
+def _sphere_set(space: Space, spheres) -> tuple[int, ...]:
+    """A sphere set as its sorted distinct indices, each in 0..m: the one
+    rule for both the quotient and the dense route."""
+    spheres = tuple(sorted({int(s) for s in spheres}))
+    if not spheres:
+        raise ValueError("sphere set is empty")
+    if spheres[0] < 0 or spheres[-1] > space.n_classes:
+        raise ValueError("sphere index out of range")
+    return spheres
+
+
 def quotient_matrix(space: Space, spheres) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrised quotient Laplacian on a set of sphere indices.
 
@@ -708,12 +740,7 @@ def quotient_matrix(space: Space, spheres) -> tuple[np.ndarray, np.ndarray]:
     """
     if space.intersection_numbers is None:
         raise ValueError("space has no intersection numbers; validate it first")
-    spheres = sorted(set(int(s) for s in spheres))
-    if not spheres:
-        raise ValueError("sphere set is empty")
-    if spheres[0] < 0 or spheres[-1] > space.n_classes:
-        raise ValueError("sphere index out of range")
-    idx = np.array(spheres)
+    idx = np.array(_sphere_set(space, spheres))
     nval = space.valencies[idx]
     if (nval == 0).any():
         raise ValueError(f"sphere {idx[np.argmax(nval == 0)]} is empty")
@@ -767,8 +794,7 @@ def spectral_decomposition(space: Space, origin: int = 0,
     inter-group gap below 10x the grouping tolerance is reported as
     ambiguous rather than silently merged or split.
     """
-    if not 0 <= origin < space.n_vertices:
-        raise SchemeError(f"origin {origin} out of range")
+    _check_origin(space, origin)
     if space.is_scheme:
         return _scheme_spectrum(space, origin, tol)
     return _graph_spectrum(space, origin, tol)

@@ -8,12 +8,12 @@ built from intersection numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spaces import (_CHUNK, DEFAULT_TOL, Records, Space, component_labels,
-                     quotient_matrix)
+from .spaces import (_CHUNK, DEFAULT_TOL, Records, Space, _check_origin, _sphere_set,
+                     component_labels, quotient_matrix)
 
 
 @dataclass(frozen=True)
@@ -137,8 +137,9 @@ def spherical_subset_eigen(space: Space, origin: int, spheres,
     Classes outside the sphere set are dropped (Dirichlet condition); the
     returned eigenfunction is the zero-extended sphere-constant vector.
     """
+    _check_origin(space, origin)
+    spheres = _sphere_set(space, spheres)
     sym, root = quotient_matrix(space, spheres)
-    spheres = tuple(sorted(set(int(s) for s in spheres)))
     val, u = _quotient_eigen(space, sym, tol)
     vals = np.zeros(space.n_classes + 1)
     vals[list(spheres)] = u / root     # back to sphere-function coordinates
@@ -154,13 +155,19 @@ def sphere_union_eigen(space: Space, origin: int, spheres,
                        tol: float = DEFAULT_TOL) -> SubsetEig:
     """Dirichlet eigenvalue of a union of spheres around ``origin``.
 
-    Takes the quotient route when the space carries intersection numbers,
-    and dense restriction otherwise (explicit graphs).
+    A scheme (``space.is_scheme``) takes the quotient route, which needs
+    its intersection numbers; an explicit graph takes dense restriction.
+    Both check the origin and the sphere set by the same rules
+    (``spaces._check_origin``, ``spaces._sphere_set``), and both return
+    ``origin`` and the sorted distinct ``spheres``; ``method`` names the
+    route, "quotient" or "dense".
     """
-    if space.intersection_numbers is not None:
+    if space.is_scheme:
         return spherical_subset_eigen(space, origin, spheres, tol)
-    omega = np.flatnonzero(np.isin(space.rows([origin])[0], list(spheres)))
-    return subset_eigen(space, omega, tol)
+    _check_origin(space, origin)
+    spheres = _sphere_set(space, spheres)
+    omega = np.flatnonzero(np.isin(space.rows([origin])[0], spheres))
+    return replace(subset_eigen(space, omega, tol), origin=origin, spheres=spheres)
 
 
 def ball_eigenvalues(space: Space, origin: int, tol: float = DEFAULT_TOL):
@@ -169,13 +176,14 @@ def ball_eigenvalues(space: Space, origin: int, tol: float = DEFAULT_TOL):
     (r+1) x (r+1) block of the quotient on all m+1 spheres, so one quotient
     serves every radius; explicit graphs go through ``sphere_union_eigen``.
     """
+    _check_origin(space, origin)
     radii = range(space.n_classes + 1)
-    if space.intersection_numbers is None:
-        lams = [sphere_union_eigen(space, origin, range(r + 1), tol).value
-                for r in radii]
-    else:
+    if space.is_scheme:
         sym, _ = quotient_matrix(space, radii)
         lams = [_quotient_eigen(space, sym[:r + 1, :r + 1], tol)[0] for r in radii]
+    else:
+        lams = [sphere_union_eigen(space, origin, range(r + 1), tol).value
+                for r in radii]
     return tuple(lams), tuple(np.cumsum(space.valencies).tolist())
 
 
