@@ -1,7 +1,8 @@
 """Command-line front end: designlab <command> ...
 
 Exit status 0 on success, 1 on failed verification or invalid input (with a
-machine-readable ``error: ...`` line), 2 on usage errors.
+machine-readable ``error: ...`` line), 2 on usage errors: a missing required
+flag, a flag the action does not take, or an abbreviated one.
 """
 
 from __future__ import annotations
@@ -27,28 +28,27 @@ class Reporter:
     """Stable-ordered key/value (or tabular) output in text or csv."""
 
     def __init__(self, fmt: str):
-        self.fmt = fmt
+        self.pair, self.sep = (",", ",") if fmt == "csv" else (" = ", "  ")
 
     def rows(self, pairs):
         for key, value in pairs:
-            if self.fmt == "csv":
-                print(f"{key},{_fmt(value)}")
-            else:
-                print(f"{key} = {_fmt(value)}")
+            print(f"{key}{self.pair}{_fmt(value)}")
 
     def table(self, header, rows):
-        if self.fmt == "csv":
-            print(",".join(header))
-            for row in rows:
-                print(",".join(_fmt(v) for v in row))
-        else:
-            print("  ".join(header))
-            for row in rows:
-                print("  ".join(_fmt(v) for v in row))
+        for row in [header, *rows]:
+            print(self.sep.join(_fmt(v) for v in row))
 
 
-def _global_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tol", type=float, default=spaces.DEFAULT_TOL)
+class _Parser(argparse.ArgumentParser):
+    """Flags by full name only; subparsers default to their parent's class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
+def _shared_flags(parser: argparse.ArgumentParser, *names: str) -> None:
+    if "tol" in names:
+        parser.add_argument("--tol", type=float, default=spaces.DEFAULT_TOL)
     parser.add_argument("--format", choices=("text", "csv"), default="text")
     parser.add_argument("--threads", type=int, default=0,
                         help="checked to be >= 0, no other effect; BLAS threads come "
@@ -56,23 +56,27 @@ def _global_flags(parser: argparse.ArgumentParser) -> None:
                         "Python starts; scheme-level results do not depend on them, "
                         "cover's dirichlet_lhs above 1024 vertices can differ in "
                         "its last digits")
-    parser.add_argument("--relation", type=int, default=1,
-                        help="relation class defining the Laplacian")
-    parser.add_argument("--origin", type=int, default=0)
+    if "relation" in names:
+        parser.add_argument("--relation", type=int, default=1,
+                            help="relation class defining the Laplacian")
+    if "origin" in names:
+        parser.add_argument("--origin", type=int, default=0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="designlab", description=__doc__)
+    top = _Parser(prog="designlab", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("space", help="inspect or validate a space")
-    p.add_argument("action", choices=("info", "validate"))
-    p.add_argument("spec")
-    _global_flags(p)
+    cmd = sub.add_parser("space", help="inspect or validate a space")
+    actions = cmd.add_subparsers(dest="action", required=True)
+    for action in ("info", "validate"):
+        p = actions.add_parser(action)
+        p.add_argument("spec")
+        _shared_flags(p, "relation")
 
     p = sub.add_parser("spectrum", help="Laplacian eigenvalues and multiplicities")
     p.add_argument("spec")
-    _global_flags(p)
+    _shared_flags(p, "tol", "relation")
 
     p = sub.add_parser("subset-eig", help="Dirichlet eigenvalue of a subset")
     p.add_argument("spec")
@@ -80,15 +84,20 @@ def _build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--ball", type=int)
     grp.add_argument("--spheres")
     grp.add_argument("--set", dest="set_file")
-    _global_flags(p)
+    _shared_flags(p, "tol", "relation", "origin")
 
-    p = sub.add_parser("design", help="design verification, strength, search")
-    p.add_argument("action", choices=("verify", "strength", "search"))
-    p.add_argument("spec")
-    p.add_argument("--design")
-    p.add_argument("--t", type=float)
-    p.add_argument("--max-size", type=int, default=8)
-    _global_flags(p)
+    cmd = sub.add_parser("design", help="design verification, strength, search")
+    actions = cmd.add_subparsers(dest="action", required=True)
+    for action in ("verify", "strength", "search"):
+        p = actions.add_parser(action)
+        p.add_argument("spec")
+        if action != "search":
+            p.add_argument("--design", required=True)
+        if action != "strength":
+            p.add_argument("--t", type=float, required=True)
+        if action == "search":
+            p.add_argument("--max-size", type=int, default=8)
+        _shared_flags(p, "tol", "relation")
 
     p = sub.add_parser("bound", help="evaluate the design lower bound")
     p.add_argument("spec")
@@ -97,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--ball", type=int)
     grp.add_argument("--auto", action="store_true")
     grp.add_argument("--set", dest="set_file")
-    _global_flags(p)
+    _shared_flags(p, "tol", "relation", "origin")
 
     p = sub.add_parser("cover", help="verify the covering chain for a design")
     p.add_argument("spec")
@@ -105,13 +114,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--ball", type=int, required=True)
     p.add_argument("--isometries")
-    _global_flags(p)
+    _shared_flags(p, "tol", "relation", "origin")
 
-    p = sub.add_parser("torus", help="flat-torus covolume and packing bounds")
-    p.add_argument("action", choices=("density-bound", "covolume-bound"))
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--shortest", type=float)
-    _global_flags(p)
+    cmd = sub.add_parser("torus", help="flat-torus covolume and packing bounds")
+    actions = cmd.add_subparsers(dest="action", required=True)
+    for action in ("density-bound", "covolume-bound"):
+        p = actions.add_parser(action)
+        p.add_argument("--dim", type=int, required=True)
+        if action == "covolume-bound":
+            p.add_argument("--shortest", type=float, required=True)
+        _shared_flags(p)
     return top
 
 
@@ -150,7 +162,7 @@ def _cmd_space(args, out: Reporter) -> int:
 
 def _cmd_spectrum(args, out: Reporter) -> int:
     space = _load(args)
-    spec = spaces.spectral_decomposition(space, args.origin, args.tol)
+    spec = spaces.spectral_decomposition(space, tol=args.tol)
     out.table(
         ["eigenvalue", "multiplicity"],
         [(spec.eigenvalues[j], int(spec.multiplicities[j]))
@@ -177,10 +189,8 @@ def _cmd_subset_eig(args, out: Reporter) -> int:
 
 def _cmd_design(args, out: Reporter) -> int:
     space = _load(args)
-    spec = spaces.spectral_decomposition(space, args.origin, args.tol)
+    spec = spaces.spectral_decomposition(space, tol=args.tol)
     if args.action == "search":
-        if args.t is None:
-            raise ValueError("design search requires --t")
         design, size = designs.min_design_search(space, spec, args.t,
                                                  args.max_size, args.tol)
         if design is None:
@@ -192,16 +202,12 @@ def _cmd_design(args, out: Reporter) -> int:
             ("points", " ".join(map(str, design.points))),
         ])
         return 0
-    if args.design is None:
-        raise ValueError(f"design {args.action} requires --design FILE")
     design = designs.load_design(args.design, space.n_vertices)
     if args.action == "strength":
         rep = designs.design_strength(space, spec, design, args.tol)
         out.rows([("strength", rep.strength)])
         out.table(["eigenvalue", "residual"], rep.per_eigenspace)
         return 0
-    if args.t is None:
-        raise ValueError("design verify requires --t")
     ok, residuals = designs.verify_design(space, spec, design, args.t, args.tol)
     out.rows([("verified", ok)])
     if not ok:
@@ -279,8 +285,6 @@ def _cmd_torus(args, out: Reporter) -> int:
             ("rho_grid", bound.rho_grid),
         ])
         return 0
-    if args.shortest is None:
-        raise ValueError("covolume-bound requires --shortest")
     bound = torus.torus_covolume_bound(args.dim, args.shortest)
     out.rows([
         ("dim", bound.dim),
@@ -309,7 +313,7 @@ _DISPATCH = {
 
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if not 0 < args.tol < math.inf:
+    if "tol" in args and not 0 < args.tol < math.inf:
         raise ValueError(f"tolerance must be positive and finite, got {args.tol}")
     if args.threads < 0:
         raise ValueError("threads must be >= 0")

@@ -867,8 +867,8 @@ def _scheme_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
 def _graph_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
     """Spectral data of an explicit graph from a dense eigensolve.
 
-    Only classes 0 and 1 (equality and adjacency) have eigenvalues, 1 and
-    degree - theta_j; the eigenmatrix row of class 2 is NaN.
+    Only class 0 (equality) and the Laplacian's class r have eigenvalues,
+    1 and degree - theta_j; the eigenmatrix rows of the other classes are NaN.
     """
     n, m = space.n_vertices, space.n_classes
     w, vecs = _eigh(space.laplacian())
@@ -876,7 +876,7 @@ def _graph_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
     ends = np.r_[starts[1:], n]
     multiplicities = ends - starts
     eigenmatrix = np.full((m + 1, len(starts)), np.nan)
-    eigenmatrix[0], eigenmatrix[1] = 1.0, space.degree - eigenvalues
+    eigenmatrix[0], eigenmatrix[space.laplacian_class] = 1.0, space.degree - eigenvalues
 
     def components(f: np.ndarray) -> np.ndarray:
         return np.add.reduceat(vecs * (f @ vecs), starts, axis=1).T
