@@ -720,13 +720,17 @@ def _check_origin(space: Space, origin: int) -> None:
 
 
 def _sphere_set(space: Space, spheres) -> tuple[int, ...]:
-    """A sphere set as its sorted distinct indices, each in 0..m: the one
-    rule for both the quotient and the dense route."""
+    """A sphere set as its sorted distinct indices, each in 0..m and each a
+    class that occurs: the one rule for both the quotient and the dense
+    route."""
     spheres = tuple(sorted({int(s) for s in spheres}))
     if not spheres:
         raise ValueError("sphere set is empty")
     if spheres[0] < 0 or spheres[-1] > space.n_classes:
         raise ValueError("sphere index out of range")
+    empty = [s for s in spheres if space.valencies[s] == 0]
+    if empty:
+        raise ValueError(f"sphere {empty[0]} is empty")
     return spheres
 
 
@@ -742,8 +746,6 @@ def quotient_matrix(space: Space, spheres) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("space has no intersection numbers; validate it first")
     idx = np.array(_sphere_set(space, spheres))
     nval = space.valencies[idx]
-    if (nval == 0).any():
-        raise ValueError(f"sphere {idx[np.argmax(nval == 0)]} is empty")
     p_r = space.intersection_numbers[np.ix_(idx, [space.laplacian_class], idx)][:, 0, :]
     flow = nval[:, None] * p_r
     if (flow != flow.T).any():

@@ -3,7 +3,9 @@
 The Dirichlet eigenvalue of a subset is the minimum Rayleigh quotient over
 functions supported on it.  Two routes are provided: dense restriction of
 the Laplacian, and, for unions of spheres in a scheme, the quotient matrix
-built from intersection numbers.
+built from intersection numbers.  A quotient that is one tridiagonal block,
+the balls of every metric scheme, is solved for all its leading blocks at
+once by ``_leading_block_minima``.
 """
 
 from __future__ import annotations
@@ -78,14 +80,19 @@ def _sign_normalize(vec: np.ndarray, tol: float) -> np.ndarray:
     return vec
 
 
+def _clamped(values, tol: float, degree: float):
+    """Dirichlet eigenvalues as Python floats, each within tol * degree of 0
+    as 0.0, whatever the sign of the solver's noise."""
+    return np.where(np.abs(values) < tol * degree, 0.0, values).tolist()
+
+
 def _min_block_eigen(matrix: np.ndarray, adjacency: np.ndarray, tol: float,
                      degree: float):
     """Smallest eigenvalue over connected blocks of a restricted matrix.
 
     Blocks are iterated in order of lowest member, so a tie keeps the block
     with the lowest minimum index.  Returns (value, vector) with the vector
-    in the coordinates of ``matrix``; a value within tol * degree of 0 is 0.0,
-    whatever the sign of the eigensolver's noise.
+    in the coordinates of ``matrix``, and the value ``_clamped``.
     """
     n = matrix.shape[0]
     comp = component_labels(adjacency)
@@ -98,7 +105,7 @@ def _min_block_eigen(matrix: np.ndarray, adjacency: np.ndarray, tol: float,
             best_val = float(w[0])
             best_vec = np.zeros(n)
             best_vec[idx] = v[:, 0]
-    return (0.0 if abs(best_val) < tol * degree else best_val), best_vec
+    return _clamped(best_val, tol, degree), best_vec
 
 
 def _quotient_eigen(space: Space, sym: np.ndarray, tol: float):
@@ -107,6 +114,75 @@ def _quotient_eigen(space: Space, sym: np.ndarray, tol: float):
     adj = np.abs(sym) > tol * max(1.0, space.degree)
     np.fill_diagonal(adj, True)
     return _min_block_eigen(sym, adj, tol, space.degree)
+
+
+def _tridiagonal_size(space: Space, sym: np.ndarray, tol: float) -> int:
+    """Size of the largest leading block of a symmetrised quotient that is
+    tridiagonal with every coupling above ``_quotient_eigen``'s split
+    threshold, so one irreducible block.  On a metric scheme at the default
+    tol that is the whole ball quotient.  Like ``eigh``, it reads the lower
+    triangle: the two triangles of a quotient can differ in the last bit."""
+    coupled = np.abs(np.diagonal(sym, -1)) > tol * max(1.0, space.degree)
+    coupled &= ~np.tril(sym, -2).any(axis=1)[1:]
+    return 1 + int(np.logical_and.accumulate(coupled).sum())
+
+
+_NEWTON_STEPS = 100     # then eigvalsh, for a block that is still rising
+
+
+def _leading_block_minima(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of each leading block T_r = T[:r+1, :r+1] of a
+    positive semidefinite tridiagonal T with diagonal ``diag`` and nonzero
+    couplings ``off``, all blocks in one vectorised pass.
+
+    Newton's method on det(T_r - x), from the larger of 0 and T_r's
+    Gershgorin bound, both at or below lambda_min(T_r): below the smallest
+    root of a real-rooted polynomial the Newton step does not overshoot, so
+    x rises monotonically to it.  With the pivots
+    d_k = a_k - x - e_{k-1}^2 / d_{k-1} the step is -1 / sum_{k<=r} d_k'/d_k,
+    and g_k = d_k'/d_k = (g_{k-1} e_{k-1}^2 / d_{k-1} - 1) / d_k.  A block
+    stops when its step no longer raises it or is below 2^-52 max(1, |x|).
+    Each block's arithmetic is its own, so its value does not depend on the
+    other blocks.  Ball quotients take 6-9 steps.  A block still rising
+    after ``_NEWTON_STEPS`` steps takes ``eigvalsh`` of T_r instead: path
+    Laplacians with weights spread over 1..2^20 reach that in about 1 of 13
+    random draws of up to 80 rows.
+    """
+    n = len(diag)
+    # Gershgorin: lambda_min(T_r) >= min over i <= r of a_i - |e_{i-1}| - |e_i|,
+    # where row r of T_r has no e_r
+    last = diag.copy()
+    last[1:] -= np.abs(off)
+    x = last.clip(0.0)
+    x[1:] = np.minimum(x[1:], np.minimum.accumulate(last[:-1] - np.abs(off)).clip(0.0))
+    rising = np.ones(n, dtype=bool)
+    e2 = (off ** 2).tolist()
+    ratios = np.zeros((n, n))       # [k, r]: g_k of block r, and 0 for k > r
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_STEPS):
+            shifted = diag[:, None] - x
+            d = shifted[0]
+            g = np.divide(-1.0, d, out=ratios[0])
+            for k in range(1, n):   # d[i], g[i]: pivot k of block k + i
+                q = e2[k - 1] / d[1:]
+                d = shifted[k, k:] - q
+                g = np.divide(q * g[1:] - 1.0, d, out=ratios[k, k:])
+            # adds row by row, k in order; fmax makes a falling or NaN step 0
+            step = np.where(rising, np.fmax(-1.0 / ratios.sum(axis=0), 0.0), 0.0)
+            x += step
+            rising = step >= 2.0 ** -52 * np.maximum(1.0, x)     # x >= 0
+            if not rising.any():
+                return x
+    for r in np.flatnonzero(rising):
+        block = np.diag(diag[:r + 1]) + np.diag(off[:r], 1) + np.diag(off[:r], -1)
+        x[r] = np.linalg.eigvalsh(block)[0]
+    return x
+
+
+def _tridiagonal_minima(space: Space, sym: np.ndarray, tol: float) -> list[float]:
+    """``_clamped`` ``_leading_block_minima`` of a tridiagonal quotient."""
+    return _clamped(_leading_block_minima(np.diagonal(sym), np.diagonal(sym, -1)),
+                    tol, space.degree)
 
 
 def subset_eigen(space: Space, omega, tol: float = DEFAULT_TOL) -> SubsetEig:
@@ -135,12 +211,19 @@ def spherical_subset_eigen(space: Space, origin: int, spheres,
     """Dirichlet eigenvalue of a union of spheres via the quotient matrix.
 
     Classes outside the sphere set are dropped (Dirichlet condition); the
-    returned eigenfunction is the zero-extended sphere-constant vector.
+    returned eigenfunction is the zero-extended sphere-constant vector.  A
+    quotient that is one tridiagonal block takes its value from
+    ``_leading_block_minima``, as ``ball_eigenvalues`` does, and its
+    eigenvector from ``eigh``; any other takes ``_quotient_eigen``.
     """
     _check_origin(space, origin)
     spheres = _sphere_set(space, spheres)
     sym, root = quotient_matrix(space, spheres)
-    val, u = _quotient_eigen(space, sym, tol)
+    if _tridiagonal_size(space, sym, tol) == len(sym):
+        val = _tridiagonal_minima(space, sym, tol)[-1]
+        u = np.linalg.eigh(sym)[1][:, 0]
+    else:
+        val, u = _quotient_eigen(space, sym, tol)
     vals = np.zeros(space.n_classes + 1)
     vals[list(spheres)] = u / root     # back to sphere-function coordinates
     ring = space.rows([origin])[0]
@@ -174,13 +257,18 @@ def ball_eigenvalues(space: Space, origin: int, tol: float = DEFAULT_TOL):
     """Dirichlet eigenvalues and volumes, as two tuples, of the balls 0..m
     around ``origin``.  For a scheme the quotient of ball r is the leading
     (r+1) x (r+1) block of the quotient on all m+1 spheres, so one quotient
-    serves every radius; explicit graphs go through ``sphere_union_eigen``.
+    serves every radius: the balls whose block is tridiagonal take one
+    ``_leading_block_minima`` solve, each larger ball ``_quotient_eigen``.
+    Explicit graphs go through ``sphere_union_eigen``.
     """
     _check_origin(space, origin)
     radii = range(space.n_classes + 1)
     if space.is_scheme:
         sym, _ = quotient_matrix(space, radii)
-        lams = [_quotient_eigen(space, sym[:r + 1, :r + 1], tol)[0] for r in radii]
+        size = _tridiagonal_size(space, sym, tol)
+        lams = _tridiagonal_minima(space, sym[:size, :size], tol)
+        lams += [_quotient_eigen(space, sym[:r + 1, :r + 1], tol)[0]
+                 for r in radii[size:]]
     else:
         lams = [sphere_union_eigen(space, origin, range(r + 1), tol).value
                 for r in radii]

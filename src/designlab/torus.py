@@ -25,9 +25,13 @@ def bessel_first_zero(order: float) -> float:
     """First positive zero of the Bessel function J_order, order >= -1/2.
 
     Orders -1/2 and 1/2 are pi/2 and pi.  Otherwise 1/lambda_max of the K x K
-    tridiagonal matrix with zero diagonal and off-diagonal
-    1/(2 sqrt((order+k)(order+k+1))), k = 1..K-1 (Ikebe 1975; Ball 2000), whose
-    top eigenvector decays once order+k passes j ~ order + 1.86 order^(1/3).
+    tridiagonal matrix T with zero diagonal and off-diagonal
+    o_k = 1/(2 sqrt((order+k)(order+k+1))), k = 1..K-1 (Ikebe 1975; Ball 2000),
+    whose top eigenvector decays once order+k passes j ~ order + 1.86 order^(1/3).
+    With rows 0..K-1, o_k couples rows k-1 and k.  T^2 maps even rows to
+    even rows, and its even part, of size ceil(K/2), is tridiagonal with
+    diagonal o_{2i}^2 + o_{2i+1}^2 and coupling o_{2i+1} o_{2i+2} (o_0 and
+    o_K are 0); it holds lambda_max(T)^2, since T is bipartite.
     """
     if order < -0.5:
         raise ValueError("order must be >= -1/2")
@@ -35,8 +39,13 @@ def bessel_first_zero(order: float) -> float:
         return math.pi if order > 0 else math.pi / 2
     # K = 40 + ceil(4 order^(1/3)); max() as a negative float ** (1/3) is complex
     k = np.arange(1, 40 + math.ceil(4 * max(order, 0) ** (1 / 3)))
-    off = 0.5 / np.sqrt((order + k) * (order + k + 1))
-    return float(1 / np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))[-1])
+    half = (len(k) + 2) // 2                       # ceil(K/2)
+    o = np.zeros(2 * half + 1)                     # o[k], zero past both ends
+    o[k] = 0.5 / np.sqrt((order + k) * (order + k + 1))
+    even = np.diag(o[0:-1:2] ** 2 + o[1::2] ** 2)
+    i = np.arange(half - 1)
+    even[i + 1, i] = o[1:-2:2] * o[2:-1:2]         # eigvalsh reads the lower triangle
+    return float(1 / math.sqrt(np.linalg.eigvalsh(even)[-1]))
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)

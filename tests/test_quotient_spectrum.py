@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import designlab as dl
+from designlab import spectra
 from designlab.cli import main as cli_main
 from designlab.spaces import component_labels
 
@@ -132,14 +133,20 @@ def test_bound_auto_second_t_solves_nothing(monkeypatch):
     # ball eigenvalues do not depend on t: the first sweep builds them, the
     # next sweep on the same SpectralData only does arithmetic
     shapes = _record_eigh(monkeypatch)
+    sweeps = []         # tridiagonal ball quotients are solved without eigh
+    minima = spectra._leading_block_minima
+    monkeypatch.setattr(spectra, "_leading_block_minima",
+                        lambda *args: sweeps.append(args) or minima(*args))
     for space in (dl.hamming(8, 2), dl.cycle(40)):
         spec = dl.spectral_decomposition(space)
         shapes.clear()
+        sweeps.clear()
         dl.design_bound_auto(space, spec, 2.5)
-        assert len(shapes) >= space.n_classes + 1
+        assert len(shapes) + len(sweeps) >= 1
         shapes.clear()
+        sweeps.clear()
         dl.design_bound_auto(space, spec, 0.7)
-        assert shapes == []
+        assert shapes == [] and sweeps == []
 
 
 def test_non_integral_multiplicity_rejected():

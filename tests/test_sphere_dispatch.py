@@ -215,3 +215,16 @@ def test_graph_space_round_trips_through_save_space(files, tmp_path):
     assert np.array_equal(again.valencies, space.valencies)
     edges = [(u, v) for u in range(8) for v in range(u + 1, 8) if v - u in (1, 7)]
     assert path.read_text() == "graph 8\n" + "".join(f"edge {u} {v}\n" for u, v in edges)
+
+
+@pytest.mark.parametrize("argv", [["subset-eig", "--spheres", "0,2"],
+                                  ["bound", "--t", "3", "--auto"]])
+def test_empty_sphere_is_refused_on_both_routes(capsys, tmp_path, argv):
+    # K4: class 2 never occurs, in a graph file and in a scheme file alike
+    pairs = list(itertools.combinations(range(4), 2))
+    graph, scheme = tmp_path / "k4_graph.txt", tmp_path / "k4_scheme.txt"
+    graph.write_text("graph 4\n" + "".join(f"edge {a} {b}\n" for a, b in pairs))
+    scheme.write_text("scheme 4 2\n" + "".join(f"rel {a} {b} 1\n" for a, b in pairs))
+    for path in (graph, scheme):
+        code, out = run(capsys, argv[0], f"file:{path}", *argv[1:])
+        assert (code, out) == (1, "error: sphere 2 is empty\n"), path.name
