@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spaces import (_CHUNK, DEFAULT_TOL, Records, Space, SpectralData, _check_origin,
-                     is_metric)
+from .spaces import (_CHUNK, DEFAULT_TOL, Records, SchemeError, Space, SpectralData,
+                     _check_origin, is_metric)
 from .spectra import SubsetEig, dirichlet_form, sphere_union_eigen, subset_eigen
 
 STRENGTH_UNBOUNDED = math.inf
@@ -71,11 +71,10 @@ def _design_fault(points: np.ndarray, weights: np.ndarray, n_vertices: int | Non
 def load_design(path: str, n_vertices: int | None = None) -> Design:
     """Read a design file: one ``<vertex> [weight]`` record per line."""
     rec = Records(path)
-    if not rec.lines:
+    if not len(rec):
         raise ValueError(f"{path}: empty design file")
     # a record without a weight has weight 1
-    points, weights = np.array([(rec.ints(i, None, "vertex [weight]") + [1])[:2]
-                                for i in range(len(rec.lines))]).T
+    points, weights = rec.table(None, "vertex [weight]", missing=1).T
     fault = _design_fault(points, weights, n_vertices)
     if fault is not None:
         raise rec.error(*fault)
@@ -280,26 +279,45 @@ def translations_to_origin(space: Space, design: Design,
     return IsometryAction(permutations=perms, validated=True)
 
 
+def _header_fault(rec: Records, pos: int, n: int, block: int) -> SchemeError | None:
+    """The error of an isometry file's block header at record ``pos``, if
+    it is not ``perm N`` once split."""
+    head = rec.line(pos).split()
+    try:
+        if head[0] == "perm" and len(head) == 2 and rec.int_at(pos, head[1]) == n:
+            return None
+    except SchemeError as exc:
+        return exc
+    return rec.error(pos, f"expected 'perm {n}' header at block {block}")
+
+
 def load_isometries(path: str, space: Space, design: Design,
                     origin: int = 0) -> IsometryAction:
     """Read an isometry file: ``perm <N>`` then N image lines per point."""
     _check_origin(space, origin)
     n = space.n_vertices
     rec = Records(path)
-    perms = []
-    pos = 0
-    while pos < len(rec.lines):
-        head = rec.lines[pos].split()
-        if head[0] != "perm" or len(head) != 2 or rec.int_at(pos, head[1]) != n:
-            raise rec.error(pos, f"expected 'perm {n}' header at block {len(perms)}")
-        if pos + 1 + n > len(rec.lines):
-            raise rec.error(pos, f"truncated permutation block {len(perms)}")
-        perms.append(rec.table(None, "image", pos + 1, pos + 1 + n)[:, 0])
-        pos += 1 + n
-    if len(perms) != len(design.points):
+    heads = np.arange(0, len(rec), n + 1)
+    fault, stop = None, len(rec)
+    for k in np.flatnonzero(~rec.equals(heads, f"perm {n}")):
+        fault = _header_fault(rec, heads[k], n, k)
+        if fault is not None:
+            stop = heads[k]
+            break
+    if fault is None and len(heads) and heads[-1] + 1 + n > len(rec):
+        stop = heads[-1]
+        fault = rec.error(stop, f"truncated permutation block {len(heads) - 1}")
+    # the images before a bad header are read first: one of them may be the
+    # first bad line
+    images = np.ones(stop, bool)
+    images[heads[heads < stop]] = False
+    perms = rec.take(np.flatnonzero(images), None, "image")
+    if fault is not None:
+        raise fault
+    if len(heads) != len(design.points):
         raise ValueError(
-            f"{path}: {len(perms)} permutations for {len(design.points)} points")
-    perms = np.array(perms, dtype=int)
+            f"{path}: {len(heads)} permutations for {len(design.points)} points")
+    perms = perms.reshape(len(heads), n)
     fault = _validate_action(space, design, origin, perms)
     if fault is not None:               # block i's header is record i * (N + 1)
         raise rec.error(fault[0] * (n + 1), fault[1])

@@ -16,7 +16,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from itertools import combinations, compress
+from itertools import combinations
 
 import numpy as np
 
@@ -399,42 +399,71 @@ def build_named_space(spec: str, laplacian_class: int = 1) -> Space:
 # file format
 
 
-def _record_flags(lines: list[str]) -> list[bool]:
-    """Which lines are records: data files skip blank lines and comments,
-    lines whose first character is '#'.  One pass over the list, with no
-    Python call per line."""
-    return [ln != "" and not ln.isspace() and ln[0] != "#" for ln in lines]
+# str.isspace of each Latin-1 character; a line that starts with one of these,
+# or with a character past Latin-1, is a record unless it is blank throughout
+_SPACE = np.array([chr(c).isspace() for c in range(256)])
+_DIGITS = 18             # longest token read by the scan: 10^18 < 2^63
 
 
 class Records:
     """The records of a data file, for all four loaders.
 
-    The file is read once.  ``lines`` are its record lines as strings,
-    without their newline: a line's tokens are split only when ``ints``, a
-    header check or an error message needs them, and ``table`` splits a
-    whole block at once.  Lines are the universal-newline text split at
-    "\\n" alone (``str.splitlines`` would also split at form feeds and
-    other separators, which would shift line numbers).
+    The file is read once, as UTF-8 text with universal newlines, and kept
+    as one array of character codes: bytes when the text is ASCII, else
+    UTF-32 code points.  Lines end at "\\n" alone (``str.splitlines`` would
+    also split at form feeds and other separators, which would shift line
+    numbers).  A record is a line that is neither blank nor a comment, a
+    line whose first character is '#'.  Records are kept as arrays of line
+    bounds and line numbers; a record's text is sliced from the file only
+    when a header, an error message or ``ints`` needs it.
     """
 
     def __init__(self, path: str):
         self.path = path
         with open(path, encoding="utf-8") as fh:
             try:
-                lines = fh.read().split("\n")
+                text = fh.read()
             except UnicodeDecodeError as exc:
                 # one whole-file decode: exc.object is the file, exc.start
                 # its byte offset; lines end at \n, \r\n or \r
                 head = exc.object[:exc.start]
                 line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
                 raise SchemeError(f"{path}:{line}: not UTF-8 text") from None
-        self._flags = _record_flags(lines)
-        self.lines = list(compress(lines, self._flags))
+        if text.isascii():
+            self._encoding, dtype = "ascii", np.uint8
+        else:
+            self._encoding, dtype = "utf-32-le", np.uint32
+        self._codes = codes = np.frombuffer(text.encode(self._encoding), dtype)
+        del text
+        breaks = np.flatnonzero(codes == 10)
+        starts = np.concatenate(([0], breaks + 1))
+        ends = np.append(breaks, len(codes))
+        lines = np.flatnonzero(ends > starts)
+        first = codes[starts[lines]]
+        maybe_blank = (first > 255) | _SPACE[np.minimum(first, 255)]
+        maybe_blank[maybe_blank] = [self._text(starts[i], ends[i]).isspace()
+                                    for i in lines[maybe_blank]]
+        lines = lines[(first != 35) & ~maybe_blank]
+        self._starts, self._ends, self._lineno = starts[lines], ends[lines], lines + 1
+
+    def _text(self, start: int, end: int) -> str:
+        return self._codes[start:end].tobytes().decode(self._encoding)
+
+    def __len__(self) -> int:
+        return len(self._lineno)
+
+    def line(self, index: int) -> str:
+        """The text of record ``index``."""
+        return self._text(self._starts[index], self._ends[index])
+
+    @property
+    def lines(self) -> list[str]:
+        """The text of every record."""
+        return [self.line(i) for i in range(len(self))]
 
     def error(self, index: int, message: str) -> SchemeError:
         """A ``PATH:LINE: message`` error for record ``index``."""
-        lineno = list(compress(range(1, len(self._flags) + 1), self._flags))[index]
-        return SchemeError(f"{self.path}:{lineno}: {message}")
+        return SchemeError(f"{self.path}:{self._lineno[index]}: {message}")
 
     def int_at(self, index: int, text: str) -> int:
         """Token ``text`` of record ``index`` as an integer."""
@@ -447,7 +476,7 @@ class Records:
     def ints(self, index: int, keyword: str | None, fields: str) -> list[int]:
         """Record ``index`` as ``keyword`` (if any) and one integer per name
         in ``fields``; bracketed names are optional."""
-        tok = self.lines[index].split()
+        tok = self.line(index).split()
         values = tok[1:] if keyword else tok
         most = len(fields.split())
         least = most - fields.count("[")
@@ -456,39 +485,116 @@ class Records:
             raise self.error(index, f"expected '{form}', found '{' '.join(tok)}'")
         return [self.int_at(index, text) for text in values]
 
-    def table(self, keyword: str | None, fields: str, start: int = 0,
-              stop: int | None = None) -> np.ndarray:
-        """``ints`` of records ``start:stop`` as one (rows, fields) array.
+    def equals(self, index, text: str) -> np.ndarray:
+        """Whether each of the records ``index`` is exactly ``text``."""
+        starts = self._starts[index]
+        same = self._ends[index] - starts == len(text)
+        for j, char in enumerate(text):
+            same &= self._codes[np.minimum(starts + j, len(self._codes) - 1)] == ord(char)
+        return same
 
-        The block is joined and split once, and its tokens are converted in
-        one go when every line is known to hold one record: with a keyword,
-        every line starts with it, every width-th token is it, and there
-        are width tokens per line.  Once the tokens between those heads
-        convert as integers, the heads are exactly the line starts (the
-        heads test alone would take 'rel 1 2' then '3 rel 4 5 6').  Without
-        a keyword, that is known only for one field per line.  Every other
-        block, and one whose tokens do not all convert, goes record by
-        record through ``ints``, which names the first bad line.
+    def table(self, keyword: str | None, fields: str, start: int = 0,
+              stop: int | None = None, missing: int = 0) -> np.ndarray:
+        """``take`` of records ``start:stop``."""
+        return self.take(np.arange(len(self))[start:stop], keyword, fields, missing)
+
+    def take(self, index, keyword: str | None, fields: str,
+             missing: int = 0) -> np.ndarray:
+        """``ints`` of the records ``index`` (increasing) as one (rows,
+        fields) array; an optional field a record leaves out reads
+        ``missing``.  A plain record (see ``_scan``) with an allowed number
+        of values is read by the scan.  Every other record goes through
+        ``ints``, in order, so the first bad line is the one named.
         """
-        rows = self.lines[start:stop]
-        count = len(fields.split())
-        width = count + bool(keyword)
-        block = "\n".join(rows)
-        flat = block.split()
+        most = len(fields.split())
+        least = most - fields.count("[")
+        values, counts, plain = self._scan(index, keyword)
+        plain &= (least <= counts) & (counts <= most)
+        if plain.all() and (counts == most).all():
+            return values.reshape(len(index), most)
+        out = np.full((len(index), most), missing, dtype=np.int64)
+        own = np.repeat(plain, counts)
+        rows = np.repeat(np.arange(len(index)), counts)
+        cols = np.arange(len(values)) - np.repeat(np.cumsum(counts) - counts, counts)
+        out[rows[own], cols[own]] = values[own]
+        for i in np.flatnonzero(~plain):
+            got = self.ints(index[i], keyword, fields)
+            out[i, :len(got)] = got
+        return out
+
+    def _scan(self, index: np.ndarray, keyword: str | None):
+        """(values, counts, plain) of the records ``index``: every run of
+        ASCII digits in them as an integer, the number of runs in each
+        record, and whether each record is plain.  A plain record is
+        ``keyword`` and a space at its head (when there is a keyword), then
+        only ASCII digits and spaces, in runs of at most 18 digits, so
+        ``ints`` would read it as exactly its runs.  The records are scanned
+        as one block: a view of the file when they are consecutive lines,
+        else a copy of them gathered one after another.
+        """
+        rows = len(index)
+        if not rows:
+            return np.zeros(0, np.int64), np.zeros(0, np.intp), np.ones(0, bool)
+        starts, ends = self._starts[index], self._ends[index]
+        if self._lineno[index[-1]] - self._lineno[index[0]] == rows - 1:
+            block = self._codes[starts[0]:ends[-1]]
+            starts, ends = starts - starts[0], ends - starts[0]
+        else:                               # each record with its "\n"
+            span = self._codes[starts[0]:ends[-1] + 1]
+            edges = np.zeros(len(span) + 2, np.int8)
+            edges[starts - starts[0]] += 1
+            edges[ends - starts[0] + 1] -= 1
+            block = span[np.cumsum(edges[:len(span)], dtype=np.int8).view(bool)]
+            after = np.cumsum(ends - starts + 1)
+            starts, ends = after - (ends - starts + 1), after - 1
+        padded = np.zeros(len(block) + 2, bool)     # a non-digit either side
+        digit = padded[1:-1]
+        np.less(block - 48, 10, out=digit)
+        plain = np.ones(rows, bool)
         if keyword:
-            fast = (("\n" + block).count("\n" + keyword) == len(rows)
-                    and flat[::width] == [keyword] * len(rows)
-                    and len(flat) == width * len(rows))
-            del flat[::width]
+            plain = ends - starts > len(keyword)    # room for it and a space
+            heads = starts[plain]
+            found = np.ones(len(heads), bool)
+            for j, char in enumerate(keyword + " "):
+                found &= np.take(block, heads + j) == ord(char)
+            plain[plain] = found
+        # every byte is a digit, a space, a newline or a keyword letter at a
+        # plain head; else find the records that hold the others
+        others = len(block) - np.count_nonzero(digit) - np.count_nonzero(block == 32)
+        others -= np.count_nonzero(block == 10) + len(keyword or "") * np.count_nonzero(plain)
+        if others:
+            ok = digit | (block == 32) | (block == 10)
+            if keyword:
+                ok[starts[plain][:, None] + np.arange(len(keyword))] = True
+            plain[np.searchsorted(starts, np.flatnonzero(~ok), "right") - 1] = False
+        bounds = np.flatnonzero(padded[1:] != padded[:-1])
+        first, last = bounds[::2], bounds[1::2]
+        length = last - first
+        longest = int(length.max(initial=0))
+        if longest > _DIGITS:
+            plain[np.searchsorted(starts, first[length > _DIGITS], "right") - 1] = False
+        # runs per record: width each when run k * width and run
+        # k * width + width - 1 both lie in record k, else counted
+        width = len(first) // rows
+        if width * rows == len(first) and (
+                not width or ((first[::width] >= starts).all()
+                              and (last[width - 1::width] <= ends).all())):
+            counts = np.full(rows, width, np.intp)
         else:
-            fast = count == 1 and len(flat) == len(rows)
-        if fast:
-            try:
-                return np.array(flat, dtype=np.int64).reshape(len(rows), count)
-            except (ValueError, OverflowError):
-                pass
-        return np.array([self.ints(i, keyword, fields)
-                         for i in range(start, start + len(rows))], dtype=np.int64)
+            counts = np.diff(np.searchsorted(first, starts), append=len(first))
+        # Horner over the runs right-aligned at ``last``: a digit is padded
+        # with 0 before the block, and masked before the run's first digit
+        top = min(longest, _DIGITS)
+        digits = np.zeros(top + len(block), np.uint8)
+        np.multiply(block - 48, digit, out=digits[top:], casting="unsafe")
+        values = np.zeros(len(first), np.int64)
+        digit_at = np.empty(len(first), np.uint8)
+        for j in range(top):
+            np.take(digits, last + j, out=digit_at)
+            digit_at *= length >= top - j
+            values *= 10
+            values += digit_at
+        return values, counts, plain
 
 
 def load_space(path: str, laplacian_class: int = 1) -> Space:
@@ -518,15 +624,15 @@ def load_space(path: str, laplacian_class: int = 1) -> Space:
 def _read_space(path: str) -> tuple[str, int, np.ndarray]:
     """(kind, m, classes) of a space file; an unlisted scheme pair is -1."""
     rec = Records(path)
-    if not rec.lines:
+    if not len(rec):
         raise SchemeError(f"{path}: empty space file")
-    kind = rec.lines[0].split()[0]
+    kind = rec.line(0).split()[0]
     if kind not in ("scheme", "graph"):
         raise rec.error(0, f"unknown header {kind!r}")
     if kind == "scheme":
-        n, m = rec.ints(0, "scheme", "N m")
+        n, m = rec.table("scheme", "N m", 0, 1)[0].tolist()
     else:
-        (n,) = rec.ints(0, "graph", "N")
+        (n,) = rec.table("graph", "N", 0, 1)[0].tolist()
         m = 2                               # equal, adjacent, other
     if not 1 <= n <= SIZE_CAP:
         raise rec.error(0, f"N = {n} is outside 1..{SIZE_CAP}")
@@ -541,7 +647,7 @@ def _read_space(path: str) -> tuple[str, int, np.ndarray]:
     bad = (lo < 0) | (hi >= n) | (lo == hi) | (c < 1) | (c > m)
     if bad.any():
         i = 1 + int(np.argmax(bad))
-        raise rec.error(i, f"'{' '.join(rec.lines[i].split())}' is a loop or out of range")
+        raise rec.error(i, f"'{' '.join(rec.line(i).split())}' is a loop or out of range")
     classes = np.full((n, n), -1 if kind == "scheme" else 2)
     np.fill_diagonal(classes, 0)
     classes[lo, hi] = c                 # a pair listed twice keeps one class,
@@ -739,8 +845,10 @@ def quotient_matrix(space: Space, spheres) -> tuple[np.ndarray, np.ndarray]:
 
     Row/column a of the raw quotient is  deg*delta_ab - p^a_{r,b};
     conjugation by diag(sqrt(n_a)) makes it symmetric, which is asserted
-    via the identity n_a p^a_{r,b} = n_b p^b_{r,a}.  Returns the symmetric
-    matrix and the sqrt-valency weights.
+    via the identity n_a p^a_{r,b} = n_b p^b_{r,a}.  Each coupling is then
+    formed once, as -sqrt(p^a_{r,b} p^b_{r,a}), so the two triangles are
+    equal bit for bit.  Returns the symmetric matrix and the sqrt-valency
+    weights.
     """
     if space.intersection_numbers is None:
         raise ValueError("space has no intersection numbers; validate it first")
@@ -753,7 +861,8 @@ def quotient_matrix(space: Space, spheres) -> tuple[np.ndarray, np.ndarray]:
         raise RuntimeError(
             f"valency-intersection symmetry fails at classes {a},{b}")
     root = np.sqrt(nval.astype(float))
-    sym = (space.degree * np.eye(len(idx)) - p_r) * (root[:, None] / root[None, :])
+    sym = 0.0 - np.sqrt(p_r * p_r.T.astype(float))
+    np.fill_diagonal(sym, space.degree - np.diagonal(p_r))
     return sym, root
 
 

@@ -120,8 +120,8 @@ def _tridiagonal_size(space: Space, sym: np.ndarray, tol: float) -> int:
     """Size of the largest leading block of a symmetrised quotient that is
     tridiagonal with every coupling above ``_quotient_eigen``'s split
     threshold, so one irreducible block.  On a metric scheme at the default
-    tol that is the whole ball quotient.  Like ``eigh``, it reads the lower
-    triangle: the two triangles of a quotient can differ in the last bit."""
+    tol that is the whole ball quotient.  It reads the lower triangle, as
+    ``eigh`` does; ``quotient_matrix`` makes both triangles equal."""
     coupled = np.abs(np.diagonal(sym, -1)) > tol * max(1.0, space.degree)
     coupled &= ~np.tril(sym, -2).any(axis=1)[1:]
     return 1 + int(np.logical_and.accumulate(coupled).sum())
