@@ -283,6 +283,7 @@ def _cmd_torus(args, out: Reporter) -> int:
             ("density_bound_grid", bound.density_grid),
             ("rho_star", bound.rho_star),
             ("rho_grid", bound.rho_grid),
+            ("log10_density_bound", torus.log10_density_bound(args.dim)),
         ])
         return 0
     bound = torus.torus_covolume_bound(args.dim, args.shortest)
@@ -296,6 +297,7 @@ def _cmd_torus(args, out: Reporter) -> int:
         ("covolume_bound", bound.covolume_bound),
         ("covolume_bound_grid", bound.covolume_grid),
         ("density_bound", bound.density_bound),
+        ("log10_density_bound", torus.log10_density_bound(bound.dim)),
     ])
     return 0
 

@@ -694,11 +694,12 @@ def validate_scheme(space: Space) -> ValidationReport:
     not occur must have p^k = 0.  A space that carries none (graphs, a
     hand-built ``Space``) has its p read off those pairs.  When that p is
     metric (``is_metric``), one layer of it is checked: for every pair
-    (x, y) and every j, #{z ~1 x : c(z, y) = j} = p^{c(x,y)}_{1j}, which is
-    N^2 k_1 gathers.  This is enough.  By induction on c(x, y), a pair of class
-    k >= 1 has a relation-1 neighbour of x in class k - 1 with y, and no
-    neighbour of x is in a class below k - 1; with c(x, y) = 0 only for
-    x = y and c symmetric, c is the graph distance in relation 1.  That
+    (x, y), k = c(x, y), the relation-1 neighbours z of x step to c(z, y) in
+    k-1..k+1, p^k_{1,k+1} up and p^k_{1,k-1} down, which is N^2 k_1 gathers.
+    This is enough.  By induction on c(x, y), a pair of class k >= 1 has a
+    relation-1 neighbour of x in class k - 1 with y, and no neighbour of x
+    is in a class below k - 1; with c(x, y) = 0 only for x = y and c
+    symmetric, c is the graph distance in relation 1.  That
     graph then has intersection numbers c_k, a_k, b_k that do not depend on
     the pair, so it is distance-regular, and the distance classes of a
     distance-regular graph form a symmetric association scheme
@@ -712,18 +713,18 @@ def validate_scheme(space: Space) -> ValidationReport:
     n, m = space.n_vertices, space.n_classes
     failures: list[str] = []
 
-    outside = (classes < 0) | (classes > m)
-    if outside.any():
-        x, y = np.argwhere(outside)[0]
+    outside = np.argwhere((classes < 0) | (classes > m))
+    if len(outside):
+        x, y = outside[0]
         return ValidationReport(False, [f"pair ({x},{y}) in class {classes[x, y]}, "
                                         f"outside 0..{m}"])
     if (np.diag(classes) != 0).any():
         x = int(np.flatnonzero(np.diag(classes) != 0)[0])
         failures.append(f"diagonal vertex {x} not in class 0")
-    off = classes.copy()
-    np.fill_diagonal(off, 1)
-    if (off == 0).any():
-        x, y = np.argwhere(off == 0)[0]
+    zero = classes == 0
+    np.fill_diagonal(zero, False)
+    if zero.any():
+        x, y = np.argwhere(zero)[0]
         failures.append(f"off-diagonal pair ({x},{y}) in class 0")
     if (classes != classes.T).any():
         x, y = np.argwhere(classes != classes.T)[0]
@@ -774,25 +775,24 @@ def _metric_layer_holds(classes: np.ndarray, p: np.ndarray) -> bool:
     """True when #{z ~1 x : c(z, y) = j} = p^{c(x,y)}_{1j} for every pair
     (x, y) and every j, for a metric p.
 
-    Each relation-1 edge (x, z) and vertex y give the step
-    c(z, y) - c(x, y), which a metric p allows only in {-1, 0, 1}; the
-    steps are counted per (x, y) over rows x in chunks of about _CHUNK / 8
-    entries.
+    Every vertex needs k_1 = p^0_{11} relation-1 neighbours z.  With
+    k = c(x, y), the steps c(z, y) - k lie in {-1, 0, 1}, p^k_{1,k+1} of them
+    +1 and p^k_{1,k-1} of them -1, so p^k_{1k} are 0 as p^k_{1j} sums to k_1
+    over j.  Rows x go in chunks of about _CHUNK / 8 steps.
     """
     n = classes.shape[0]
-    b = np.pad(p[:, 1, :], ((0, 0), (1, 1)))    # b[k, j + 1] = p^k_{1j}
-    want = np.stack([b.diagonal(s) for s in range(3)], axis=1)  # j = k-1, k, k+1
-    src, dst = np.nonzero(classes == 1)
+    b = p[:, 1, :]                              # b[k, j] = p^k_{1j}
+    up, down = np.append(b.diagonal(1), 0), np.insert(b.diagonal(-1), 0, 0)
+    src, nbrs = np.nonzero(classes == 1)
+    if (np.bincount(src, minlength=n) != b[0, 1]).any():
+        return False
+    nbrs = nbrs.reshape(n, b[0, 1])
     step = max(1, (_CHUNK // 8) // len(src))    # rows x per chunk
     for lo in range(0, n, step):
-        hi = min(lo + step, n)
-        first, last = np.searchsorted(src, [lo, hi])
-        steps = classes[dst[first:last]] - classes[src[first:last]]
-        if (abs(steps) > 1).any():
-            return False
-        cells = ((src[first:last, None] - lo) * n + np.arange(n)) * 3 + steps + 1
-        counts = np.bincount(cells.ravel(), minlength=(hi - lo) * n * 3)
-        if (counts.reshape(hi - lo, n, 3) != want[classes[lo:hi]]).any():
+        k = classes[lo:lo + step]               # k = c(x, y) for the chunk's rows x
+        steps = classes[nbrs[lo:lo + step]] - k[:, None, :]
+        if ((abs(steps) > 1).any() or ((steps == 1).sum(axis=1) != up[k]).any()
+                or ((steps == -1).sum(axis=1) != down[k]).any()):
             return False
     return True
 

@@ -168,18 +168,31 @@ def torus_covolume_bound(dim: int, shortest: float) -> TorusBound:
     )
 
 
+def _log_density_bound(n: int) -> tuple[float, float]:
+    """j_{n/2-1,1} and the natural log of ``lattice_density_bound(n)``."""
+    if n < 1:
+        raise ValueError("need dim >= 1")
+    j1 = bessel_first_zero(n / 2 - 1)
+    return j1, (2 * _log_unit_ball_volume(n) + n * math.log(j1 / (4 * math.pi))
+                + n / 2 * math.log((n + 2) / n) + math.log((n + 2) / 2))
+
+
 def lattice_density_bound(dim: int) -> float:
     """Upper bound on lattice sphere-packing density in dimension ``dim``.
 
     Scale-invariant closed form:
     v_n^2 (j_{n/2-1,1} / 4 pi)^n ((n+2)/n)^(n/2) (n+2)/2.
+    It underflows to 0.0 from dimension 2018; ``log10_density_bound`` does not.
     """
-    if dim < 1:
-        raise ValueError("need dim >= 1")
     n = dim
-    j1 = bessel_first_zero(n / 2 - 1)
+    j1, log_value = _log_density_bound(n)
     return _product(
         lambda: (unit_ball_volume(n) ** 2 * (j1 / (4 * math.pi)) ** n
                  * ((n + 2) / n) ** (n / 2) * (n + 2) / 2),
-        2 * _log_unit_ball_volume(n) + n * math.log(j1 / (4 * math.pi))
-        + n / 2 * math.log((n + 2) / n) + math.log((n + 2) / 2))
+        log_value)
+
+
+def log10_density_bound(dim: int) -> float:
+    """log10 of ``lattice_density_bound(dim)``, from the same sum of logs;
+    finite in every dimension."""
+    return _log_density_bound(dim)[1] / math.log(10)
