@@ -223,8 +223,8 @@ def _cmd_bound(args, out: Reporter) -> int:
     spec = spaces.spectral_decomposition(space, args.origin, args.tol)
     if args.auto:
         reports, best = designs.design_bound_auto(space, spec, args.t, args.tol)
-        rows = [(r.omega.split()[1], r.lam, r.vol_omega, r.bound, r.vacuous)
-                for r in reports]
+        rows = [(radius, r.lam, r.vol_omega, r.bound, r.vacuous)
+                for radius, r in enumerate(reports)]
         if best is not None:
             rows.append(("best", best.lam, best.vol_omega, best.bound,
                          best.vacuous))

@@ -18,7 +18,8 @@ import numpy as np
 
 from .spaces import (_CHUNK, DEFAULT_TOL, Records, SchemeError, Space, SpectralData,
                      _check_origin, is_metric)
-from .spectra import SubsetEig, dirichlet_form, sphere_union_eigen, subset_eigen
+from .spectra import (SubsetEig, ball_eigenvalues, dirichlet_form, sphere_union_eigen,
+                      subset_eigen)
 
 STRENGTH_UNBOUNDED = math.inf
 
@@ -174,16 +175,16 @@ def design_bound_auto(space: Space, spectral: SpectralData, t: float,
                       tol: float = DEFAULT_TOL):
     """Sweep balls of radius 0..m around the origin; returns (reports, best_report).
 
-    The ball eigenvalues and volumes do not depend on t.  They come from
-    ``spectral.ball_eigen(tol)``, which computes them on the first call for
-    each ``tol`` (the clamp and the block split depend on it) and keeps
-    them, so every further t costs O(m) arithmetic.  The reports carry
+    The ball eigenvalues and volumes depend on neither t nor ``spectral``
+    beyond its origin: ``ball_eigenvalues`` computes them once per origin
+    and ``tol`` (the clamp and the block split depend on it) and keeps them
+    on the space, so every further t costs O(m) arithmetic.  The reports carry
     ``subset_eig=None``; ``design_bound(..., spheres=range(r + 1))`` gives
     ball r with its Omega and eigenfunction.  best maximises the bound;
     ties go to the smallest radius.  All-vacuous sweeps return best = None.
     """
     _check_t(t)
-    lams, vols = spectral.ball_eigen(tol)
+    lams, vols = ball_eigenvalues(space, spectral.origin, tol)
     reports = []
     best = None
     for radius, (lam, vol) in enumerate(zip(lams, vols)):

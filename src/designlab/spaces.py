@@ -15,7 +15,7 @@ import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -68,6 +68,7 @@ class Space:
     reading one row builds no N x N matrix.  ``translation(y, o)`` is the
     image array of an isometry taking y to o; the built-in families carry
     theirs, and files and graphs, which have None, need an isometry file.
+    ``_ball_sweeps`` is ``spectra.ball_eigenvalues``'s cache, per (origin, tol).
     """
 
     kind: str                      # "graph", "scheme", "hamming", "johnson", "cycle"
@@ -80,6 +81,8 @@ class Space:
     labels: tuple | None = field(default=None, repr=False)  # words, subsets
     translation: Callable[[int, int], np.ndarray] | None = field(
         default=None, repr=False, compare=False)
+    _ball_sweeps: dict = field(default_factory=dict, init=False, repr=False,
+                               compare=False)
 
     @property
     def is_scheme(self) -> bool:
@@ -130,9 +133,6 @@ class SpectralData:
     (normalised to 1 at the origin).  The (k, N, N) projectors E_j are
     built by ``build_projectors`` only when ``projectors`` is first read;
     nothing in this package reads them, ``components`` serves every route.
-    ``ball_eigen(tol)`` is ``spectra.ball_eigenvalues`` at the origin: the
-    Dirichlet eigenvalue and volume of each ball 0..m, built on the first
-    call for each tol and kept.
     """
 
     origin: int
@@ -142,8 +142,6 @@ class SpectralData:
     zonal: np.ndarray              # (k, m+1)
     components: Callable[[np.ndarray], np.ndarray] = field(repr=False, compare=False)
     build_projectors: Callable[[], np.ndarray] = field(repr=False, compare=False)
-    ball_eigen: Callable[[float], tuple[tuple, tuple]] = field(
-        repr=False, compare=False)
 
     @property
     def n_eigenspaces(self) -> int:
@@ -293,6 +291,8 @@ def hamming(n: int, q: int, laplacian_class: int = 1) -> Space:
     """
     if q < 2 or n < 1:
         raise SchemeError("hamming requires q >= 2 and n >= 1")
+    if q > SIZE_CAP or n > SIZE_CAP.bit_length():       # q ** n >= max(q, 2 ** n)
+        raise SchemeError(f"hamming({n},{q}) has more vertices than the cap {SIZE_CAP}")
     size = q ** n
     if size > SIZE_CAP:
         raise SchemeError(f"hamming({n},{q}) has {size} vertices > cap {SIZE_CAP}")
@@ -321,6 +321,8 @@ def johnson(n: int, w: int, laplacian_class: int = 1) -> Space:
     """
     if not 1 <= w <= n // 2:
         raise SchemeError("johnson requires 1 <= w <= n/2")
+    if n > SIZE_CAP or w > SIZE_CAP.bit_length():       # comb(n, w) >= max(n, 2 ** w)
+        raise SchemeError(f"johnson({n},{w}) has more vertices than the cap {SIZE_CAP}")
     size = math.comb(n, w)
     if size > SIZE_CAP:
         raise SchemeError(f"johnson({n},{w}) has {size} vertices > cap {SIZE_CAP}")
@@ -911,11 +913,6 @@ def spectral_decomposition(space: Space, origin: int = 0,
     return _graph_spectrum(space, origin, tol)
 
 
-def _ball_eigen(space: Space, origin: int):
-    from .spectra import ball_eigenvalues      # spectra imports this module
-    return cache(lambda tol: ball_eigenvalues(space, origin, tol))
-
-
 def _scheme_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
     """Spectral data from one eigensolve of the (m+1) x (m+1) quotient.
 
@@ -971,7 +968,6 @@ def _scheme_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
         zonal=zonal,
         components=components,
         build_projectors=build_projectors,
-        ball_eigen=_ball_eigen(space, origin),
     )
 
 
@@ -1006,7 +1002,6 @@ def _graph_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
         components=components,
         build_projectors=lambda: np.stack([vecs[:, a:b] @ vecs[:, a:b].T
                                            for a, b in zip(starts, ends)]),
-        ball_eigen=_ball_eigen(space, origin),
     )
 
 

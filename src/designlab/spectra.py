@@ -141,20 +141,26 @@ def _leading_block_minima(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     x rises monotonically to it.  With the pivots
     d_k = a_k - x - e_{k-1}^2 / d_{k-1} the step is -1 / sum_{k<=r} d_k'/d_k,
     and g_k = d_k'/d_k = (g_{k-1} e_{k-1}^2 / d_{k-1} - 1) / d_k.  A block
-    stops when its step no longer raises it or is below 2^-52 max(1, |x|).
-    Each block's arithmetic is its own, so its value does not depend on the
-    other blocks.  Ball quotients take 6-9 steps.  A block still rising
-    after ``_NEWTON_STEPS`` steps takes ``eigvalsh`` of T_r instead: path
-    Laplacians with weights spread over 1..2^20 reach that in about 1 of 13
-    random draws of up to 80 rows.
+    stops when its step no longer exceeds 2^-52 max(||T_r||, x), with
+    ||T_r|| its Gershgorin upper bound: the rounding noise of the pivots
+    scales with ||T_r||, so a block whose step only creeps at that level
+    has converged.  The bound is the block's own, not T's, so each block's
+    arithmetic is its own and its value does not depend on the other
+    blocks.  Ball quotients take 6-9 steps, and H(1000,2)'s take 19.
+    A block still rising after ``_NEWTON_STEPS`` steps takes ``eigvalsh``
+    of T_r instead: path Laplacians with weights spread over 1..2^20 reach
+    that in about 1 of 13 random draws of up to 80 rows.
     """
     n = len(diag)
-    # Gershgorin: lambda_min(T_r) >= min over i <= r of a_i - |e_{i-1}| - |e_i|,
-    # where row r of T_r has no e_r
-    last = diag.copy()
-    last[1:] -= np.abs(off)
+    # Gershgorin: over i <= r, lambda_min(T_r) >= min a_i - |e_{i-1}| - |e_i|
+    # and ||T_r|| <= max a_i + |e_{i-1}| + |e_i|, where row r of T_r has no e_r
+    coupling = np.abs(off)
+    last, norm = diag.copy(), diag.copy()
+    last[1:] -= coupling
+    norm[1:] += coupling
     x = last.clip(0.0)
-    x[1:] = np.minimum(x[1:], np.minimum.accumulate(last[:-1] - np.abs(off)).clip(0.0))
+    x[1:] = np.minimum(x[1:], np.minimum.accumulate(last[:-1] - coupling).clip(0.0))
+    norm[1:] = np.maximum(norm[1:], np.maximum.accumulate(norm[:-1] + coupling))
     rising = np.ones(n, dtype=bool)
     e2 = (off ** 2).tolist()
     ratios = np.zeros((n, n))       # [k, r]: g_k of block r, and 0 for k > r
@@ -170,7 +176,7 @@ def _leading_block_minima(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
             # adds row by row, k in order; fmax makes a falling or NaN step 0
             step = np.where(rising, np.fmax(-1.0 / ratios.sum(axis=0), 0.0), 0.0)
             x += step
-            rising = step >= 2.0 ** -52 * np.maximum(1.0, x)     # x >= 0
+            rising = step > 2.0 ** -52 * np.maximum(norm, x)
             if not rising.any():
                 return x
     for r in np.flatnonzero(rising):
@@ -259,8 +265,12 @@ def ball_eigenvalues(space: Space, origin: int, tol: float = DEFAULT_TOL):
     (r+1) x (r+1) block of the quotient on all m+1 spheres, so one quotient
     serves every radius: the balls whose block is tridiagonal take one
     ``_leading_block_minima`` solve, each larger ball ``_quotient_eigen``.
-    Explicit graphs go through ``sphere_union_eigen``.
+    Explicit graphs go through ``sphere_union_eigen``.  The sweep is built on
+    the first call for each (origin, tol) and kept on the space, so a second
+    call returns the same tuples; a build that raises keeps nothing.
     """
+    if (origin, tol) in space._ball_sweeps:
+        return space._ball_sweeps[origin, tol]
     _check_origin(space, origin)
     radii = range(space.n_classes + 1)
     if space.is_scheme:
@@ -272,7 +282,9 @@ def ball_eigenvalues(space: Space, origin: int, tol: float = DEFAULT_TOL):
     else:
         lams = [sphere_union_eigen(space, origin, range(r + 1), tol).value
                 for r in radii]
-    return tuple(lams), tuple(np.cumsum(space.valencies).tolist())
+    sweep = space._ball_sweeps[origin, tol] = (
+        tuple(lams), tuple(np.cumsum(space.valencies).tolist()))
+    return sweep
 
 
 def load_subset(path: str, n_vertices: int | None = None) -> np.ndarray:

@@ -21,6 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# K = 40 + 4 * 502 = 2048 at this order: the half matrix has 1024 rows, 8 MiB,
+# and its dense eigvalsh takes well under a second.  Past it both grow, as
+# K^2 and K^3 with K ~ 4 order^(1/3); torus dims up to 253 012 018 stay below.
+_BESSEL_ORDER_MAX = 502 ** 3
+
+
 def bessel_first_zero(order: float) -> float:
     """First positive zero of the Bessel function J_order, order >= -1/2.
 
@@ -31,10 +37,14 @@ def bessel_first_zero(order: float) -> float:
     With rows 0..K-1, o_k couples rows k-1 and k.  T^2 maps even rows to
     even rows, and its even part, of size ceil(K/2), is tridiagonal with
     diagonal o_{2i}^2 + o_{2i+1}^2 and coupling o_{2i+1} o_{2i+2} (o_0 and
-    o_K are 0); it holds lambda_max(T)^2, since T is bipartite.
+    o_K are 0); it holds lambda_max(T)^2, since T is bipartite.  Orders
+    above ``_BESSEL_ORDER_MAX`` are refused before anything is allocated.
     """
     if order < -0.5:
         raise ValueError("order must be >= -1/2")
+    if order > _BESSEL_ORDER_MAX:
+        raise ValueError(f"Bessel order {order} is above the limit {_BESSEL_ORDER_MAX} "
+                         f"(torus dim {2 * _BESSEL_ORDER_MAX + 2})")
     if abs(order) == 0.5:
         return math.pi if order > 0 else math.pi / 2
     # K = 40 + ceil(4 order^(1/3)); max() as a negative float ** (1/3) is complex
@@ -123,7 +133,13 @@ def torus_covolume_bound(dim: int, shortest: float) -> TorusBound:
         raise ValueError("need dim >= 1 and finite shortest > 0")
     n = dim
     s = shortest
-    t = 4 * math.pi ** 2 * s ** 2
+    try:
+        t = 4 * math.pi ** 2 * s ** 2
+    except OverflowError:                   # s ** 2 above the float range
+        t = math.inf
+    if not sys.float_info.min <= t < math.inf:
+        raise ValueError(f"shortest {s!r} puts t = 4 pi^2 shortest^2 outside "
+                         "the normal float range")
     j1 = bessel_first_zero(n / 2 - 1)
     log_vn = _log_unit_ball_volume(n)
     log_base = log_vn + n * math.log(j1 / (2 * math.pi * s))

@@ -1,8 +1,9 @@
 """The cached ball sweep of design_bound_auto against the per-radius route.
 
 design_bound_auto reads every ball's Dirichlet eigenvalue and volume from
-``SpectralData.ball_eigen(tol)``, built once per tol; design_bound solves
-one ball at a time.  Both must give the same numbers bit for bit.
+``spectra.ball_eigenvalues(space, origin, tol)``, built once per origin and
+tol and kept on the space; design_bound solves one ball at a time.  Both
+must give the same numbers bit for bit.
 """
 
 import functools
@@ -45,7 +46,7 @@ def sweep_ts(spectral, lams):
 def assert_sweep_matches_per_radius(space, origin=0):
     spectral = dl.spectral_decomposition(space, origin)
     for tol in (TOL, 1e-6):       # the second differs from spectral_decomposition's
-        lams, _ = spectral.ball_eigen(tol)
+        lams, _ = dl.spectra.ball_eigenvalues(space, origin, tol)
         for t in sweep_ts(spectral, lams):
             reports, best = dl.design_bound_auto(space, spectral, t, tol)
             assert len(reports) == space.n_classes + 1
@@ -98,10 +99,10 @@ def test_sweep_matches_per_radius_on_graph_files(make, tmp_path):
 
 
 def test_ball_eigen_is_kept_per_tol():
-    spectral = dl.spectral_decomposition(dl.cycle(20))
-    first = spectral.ball_eigen(TOL)
-    assert spectral.ball_eigen(TOL) is first
-    assert spectral.ball_eigen(1e-6) is not first
+    space = dl.cycle(20)
+    first = dl.spectra.ball_eigenvalues(space, 0, TOL)
+    assert dl.spectra.ball_eigenvalues(space, 0, TOL) is first
+    assert dl.spectra.ball_eigenvalues(space, 0, 1e-6) is not first
     lams, vols = first
     assert list(vols) == [1] + [2 * r + 1 for r in range(1, 10)] + [20]
     assert lams[-1] == pytest.approx(0.0, abs=TOL)
@@ -112,7 +113,7 @@ def test_coarse_tol_splits_ball_quotients_as_per_radius():
     # spheres, so the ball eigenvalues differ from those at TOL
     space = dl.hamming(4, 3, laplacian_class=2)
     spectral = dl.spectral_decomposition(space)
-    fine, coarse = spectral.ball_eigen(TOL)[0], spectral.ball_eigen(0.3)[0]
+    fine, coarse = (dl.spectra.ball_eigenvalues(space, 0, tol)[0] for tol in (TOL, 0.3))
     assert fine != coarse
     for tol, lams in [(TOL, fine), (0.3, coarse)]:
         assert list(lams) == [

@@ -250,7 +250,7 @@ def test_bound_auto_vacuous_follows_the_below_t_rule(capsys):
     # t sits 1.1e-9 above lambda(ball 1) = 3 - sqrt(3): inside the noise band
     # tol * max(1, t) of the strict theta < t rule, so ball 1 is vacuous
     space = dl.hamming(3, 2)
-    lam = dl.spectral_decomposition(space).ball_eigen(1e-9)[0][1]
+    lam = dl.spectra.ball_eigenvalues(space, 0, 1e-9)[0][1]
     t = lam + 1.1e-9
     code, out = run(capsys, "bound", "hamming:n=3,q=2", "--t", repr(t), "--auto")
     assert code == 0
