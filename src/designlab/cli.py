@@ -53,9 +53,8 @@ def _shared_flags(parser: argparse.ArgumentParser, *names: str) -> None:
     parser.add_argument("--threads", type=int, default=0,
                         help="checked to be >= 0, no other effect; BLAS threads come "
                         "from OPENBLAS_NUM_THREADS or OMP_NUM_THREADS, set before "
-                        "Python starts; scheme-level results do not depend on them, "
-                        "cover's dirichlet_lhs above 1024 vertices can differ in "
-                        "its last digits")
+                        "Python starts; scheme-level results and the Laplacian "
+                        "do not depend on them")
     if "relation" in names:
         parser.add_argument("--relation", type=int, default=1,
                             help="relation class defining the Laplacian")

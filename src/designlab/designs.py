@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spaces import (_CHUNK, DEFAULT_TOL, Records, SchemeError, Space, SpectralData,
-                     _check_origin, is_metric)
+                     _check_origin, _neighbours, is_metric)
 from .spectra import (SubsetEig, ball_eigenvalues, dirichlet_form, sphere_union_eigen,
                       subset_eigen)
 
@@ -244,8 +244,8 @@ def _validate_action(space: Space, design: Design, origin: int, perms: np.ndarra
 
 def _edge_check(classes: np.ndarray):
     """A test of whether a permutation maps every relation-1 edge to one."""
-    src, dst = np.nonzero(classes == 1)
-    return lambda perm: bool((classes[perm[src], perm[dst]] == 1).all())
+    nbrs = _neighbours(classes, 1)
+    return lambda perm: bool((classes[perm[:, None], perm[nbrs]] == 1).all())
 
 
 def _pair_check(classes: np.ndarray):

@@ -773,6 +773,16 @@ def _row0_mismatches(classes: np.ndarray, p: np.ndarray, m: int) -> list[str]:
     return failures
 
 
+def _neighbours(classes: np.ndarray, r: int) -> np.ndarray | None:
+    """The (N, k) array whose row x lists the class-r partners of x in
+    ascending order, or None when the vertices do not all have k of them."""
+    n = len(classes)
+    flat = np.flatnonzero(classes == r)         # row x's partners form one run
+    table = flat[:len(flat) // n * n].reshape(n, -1)
+    regular = table.size == len(flat) and (table // n == np.arange(n)[:, None]).all()
+    return table % n if regular else None
+
+
 def _metric_layer_holds(classes: np.ndarray, p: np.ndarray) -> bool:
     """True when #{z ~1 x : c(z, y) = j} = p^{c(x,y)}_{1j} for every pair
     (x, y) and every j, for a metric p.
@@ -785,11 +795,10 @@ def _metric_layer_holds(classes: np.ndarray, p: np.ndarray) -> bool:
     n = classes.shape[0]
     b = p[:, 1, :]                              # b[k, j] = p^k_{1j}
     up, down = np.append(b.diagonal(1), 0), np.insert(b.diagonal(-1), 0, 0)
-    src, nbrs = np.nonzero(classes == 1)
-    if (np.bincount(src, minlength=n) != b[0, 1]).any():
+    nbrs = _neighbours(classes, 1)
+    if nbrs is None or nbrs.shape[1] != b[0, 1]:
         return False
-    nbrs = nbrs.reshape(n, b[0, 1])
-    step = max(1, (_CHUNK // 8) // len(src))    # rows x per chunk
+    step = max(1, (_CHUNK // 8) // nbrs.size)   # rows x per chunk
     for lo in range(0, n, step):
         k = classes[lo:lo + step]               # k = c(x, y) for the chunk's rows x
         steps = classes[nbrs[lo:lo + step]] - k[:, None, :]

@@ -1,11 +1,10 @@
 """Laplacian, Dirichlet form and Dirichlet eigenvalues of vertex subsets.
 
-The Dirichlet eigenvalue of a subset is the minimum Rayleigh quotient over
-functions supported on it.  Two routes are provided: dense restriction of
-the Laplacian, and, for unions of spheres in a scheme, the quotient matrix
-built from intersection numbers.  A quotient that is one tridiagonal block,
-the balls of every metric scheme, is solved for all its leading blocks at
-once by ``_leading_block_minima``.
+The Laplacian sums each vertex's neighbours in a fixed order, with no BLAS
+call.  A subset's Dirichlet eigenvalue, the least Rayleigh quotient of
+functions on it, comes from dense restriction or, for sphere unions in a
+scheme, the quotient matrix; ``_leading_block_minima`` solves a tridiagonal
+quotient (every metric scheme's balls) for all its leading blocks at once.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .spaces import (_CHUNK, DEFAULT_TOL, Records, Space, _check_origin, _sphere_set,
+from .spaces import (DEFAULT_TOL, Records, Space, _check_origin, _neighbours, _sphere_set,
                      component_labels, quotient_matrix)
 
 
@@ -35,23 +34,15 @@ class SubsetEig:
 
 
 def laplacian_apply(space: Space, f: np.ndarray) -> np.ndarray:
-    """Apply the Laplacian of the chosen relation class to f.
-
-    The adjacency is formed from the class matrix in row blocks of about
-    ``_CHUNK`` entries, never as one N x N float matrix.  A block is a
-    whole multiple of 64 rows, so that no block edge falls inside the small
-    groups of rows that BLAS sums together: with one BLAS thread the result
-    is the dense product's bit for bit.
-    """
+    """Apply the relation-r Laplacian to f: degree * f[x] minus the sum of f
+    over x's ``_neighbours`` in ascending order, with no BLAS call."""
     f = np.asarray(f, dtype=float)
-    n = space.n_vertices
-    if f.shape != (n,):
+    if f.shape != (space.n_vertices,):
         raise ValueError("function has wrong length")
-    classes, r = space.classes, space.laplacian_class
-    step = max(64, _CHUNK // n // 64 * 64)
-    adj_f = np.concatenate([(classes[lo:lo + step] == r).astype(float) @ f
-                            for lo in range(0, n, step)])
-    return space.degree * f - adj_f
+    nbrs = _neighbours(space.classes, space.laplacian_class)
+    if nbrs is None:
+        raise ValueError(f"relation class {space.laplacian_class} is not regular")
+    return space.degree * f - f[nbrs].sum(axis=1)
 
 
 def dirichlet_form(space: Space, f: np.ndarray, g: np.ndarray | None = None) -> float:

@@ -58,6 +58,15 @@ def bessel_first_zero(order: float) -> float:
     return float(1 / math.sqrt(np.linalg.eigvalsh(even)[-1]))
 
 
+def _check_dim(dim: int) -> None:
+    """Refuse a torus dim whose Bessel order dim/2 - 1 is above
+    ``_BESSEL_ORDER_MAX``, before any float is formed from it: dim / 2
+    overflows past the float range."""
+    if dim > 2 * _BESSEL_ORDER_MAX + 2:
+        raise ValueError(f"torus dim is above the limit {2 * _BESSEL_ORDER_MAX + 2} "
+                         f"(Bessel order {_BESSEL_ORDER_MAX})")
+
+
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
@@ -90,8 +99,9 @@ def unit_ball_volume(dim: int) -> float:
 
 def ball_fundamental_tone(dim: int, radius: float) -> float:
     """Smallest Dirichlet eigenvalue of a Euclidean ball: (j_{n/2-1,1}/r)^2."""
-    if dim < 1 or radius <= 0:
-        raise ValueError("need dim >= 1 and radius > 0")
+    if dim < 1 or not 0 < radius < math.inf:
+        raise ValueError("need dim >= 1 and radius > 0, finite")
+    _check_dim(dim)
     return (bessel_first_zero(dim / 2 - 1) / radius) ** 2
 
 
@@ -140,6 +150,7 @@ def torus_covolume_bound(dim: int, shortest: float) -> TorusBound:
     if not sys.float_info.min <= t < math.inf:
         raise ValueError(f"shortest {s!r} puts t = 4 pi^2 shortest^2 outside "
                          "the normal float range")
+    _check_dim(n)
     j1 = bessel_first_zero(n / 2 - 1)
     log_vn = _log_unit_ball_volume(n)
     log_base = log_vn + n * math.log(j1 / (2 * math.pi * s))
@@ -188,6 +199,7 @@ def _log_density_bound(n: int) -> tuple[float, float]:
     """j_{n/2-1,1} and the natural log of ``lattice_density_bound(n)``."""
     if n < 1:
         raise ValueError("need dim >= 1")
+    _check_dim(n)
     j1 = bessel_first_zero(n / 2 - 1)
     return j1, (2 * _log_unit_ball_volume(n) + n * math.log(j1 / (4 * math.pi))
                 + n / 2 * math.log((n + 2) / n) + math.log((n + 2) / 2))

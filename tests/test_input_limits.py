@@ -114,3 +114,32 @@ def test_bessel_orders_past_the_limit_are_refused():
             dl.lattice_density_bound(dim)
         with pytest.raises(ValueError, match="above the limit"):
             dl.torus_covolume_bound(dim, 1.0)
+
+
+DIM_PAST_FLOATS = 10 ** 400             # dim / 2 overflows a float
+
+
+@pytest.mark.parametrize("call", [
+    lambda: dl.lattice_density_bound(DIM_PAST_FLOATS),
+    lambda: torus.log10_density_bound(DIM_PAST_FLOATS),
+    lambda: dl.torus_covolume_bound(DIM_PAST_FLOATS, 1.0),
+    lambda: dl.ball_fundamental_tone(DIM_PAST_FLOATS, 1.0),
+], ids=["density", "log10-density", "covolume", "ball-tone"])
+def test_torus_dims_past_the_float_range_are_refused(call):
+    with pytest.raises(ValueError, match="torus dim is above the limit 253012018"):
+        call()
+
+
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, 0.0])
+def test_ball_tone_needs_a_finite_positive_radius(radius):
+    with pytest.raises(ValueError, match="radius > 0, finite"):
+        dl.ball_fundamental_tone(3, radius)
+
+
+@pytest.mark.parametrize("action", [["density-bound"], ["covolume-bound"]])
+def test_torus_dims_past_the_float_range_are_error_lines(action):
+    argv = ["torus", *action, "--dim", str(DIM_PAST_FLOATS)]
+    if action == ["covolume-bound"]:
+        argv += ["--shortest", "1"]
+    assert run_limited(*argv) == (
+        1, "error: torus dim is above the limit 253012018 (Bessel order 126506008)\n")
