@@ -274,15 +274,16 @@ def _cmd_cover(args, out: Reporter) -> int:
 
 def _cmd_torus(args, out: Reporter) -> int:
     if args.action == "density-bound":
-        value = torus.lattice_density_bound(args.dim)
+        if args.dim < 1:
+            raise ValueError("need dim >= 1")
         bound = torus.torus_covolume_bound(args.dim, 1.0)
         out.rows([
             ("dim", args.dim),
-            ("density_bound", value),
+            ("density_bound", bound.density_bound),
             ("density_bound_grid", bound.density_grid),
             ("rho_star", bound.rho_star),
             ("rho_grid", bound.rho_grid),
-            ("log10_density_bound", torus.log10_density_bound(args.dim)),
+            ("log10_density_bound", bound.log10_density_bound),
         ])
         return 0
     bound = torus.torus_covolume_bound(args.dim, args.shortest)
@@ -296,7 +297,7 @@ def _cmd_torus(args, out: Reporter) -> int:
         ("covolume_bound", bound.covolume_bound),
         ("covolume_bound_grid", bound.covolume_grid),
         ("density_bound", bound.density_bound),
-        ("log10_density_bound", torus.log10_density_bound(bound.dim)),
+        ("log10_density_bound", bound.log10_density_bound),
     ])
     return 0
 

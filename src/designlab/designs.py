@@ -206,8 +206,9 @@ class IsometryAction:
     ``permutations[i]`` maps design point i to the origin; row p is the
     image array, i.e. tau_i(x) = permutations[i][x].  ``validated`` means
     every permutation was checked to keep the class of every vertex pair:
-    on a metric scheme through its relation-1 edges, which decide every
-    class (see ``_validate_action``), and otherwise pair by pair.
+    on a family or loaded metric scheme through its relation-1 edges, which
+    decide every class (see ``_validate_action``), and otherwise pair by
+    pair.
     """
 
     permutations: np.ndarray       # (d, N) int
@@ -219,17 +220,19 @@ def _validate_action(space: Space, design: Design, origin: int, perms: np.ndarra
     taking its design point to the origin and preserving the class of every
     vertex pair, or None.  Every permutation is checked exhaustively.
 
-    When the space's p is metric (``spaces.is_metric``), the class of a
-    pair is its distance in the relation-1 graph.  A bijection that maps
-    each of the N k_1 ordered relation-1 edges to an edge is then an
-    automorphism of that graph, so it keeps every distance and every class
-    (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*, 1989), and
-    only the edges are checked.  Graphs and other schemes compare all N^2
-    pairs.  Either way a permutation passes exactly when it keeps every
-    class, so the index and reason do not depend on the route.
+    When the space's p is metric (``spaces.is_metric``) and holds at every
+    pair (``Space._certified``: a built-in family or a validated file), the
+    class of a pair is its distance in the relation-1 graph.  A bijection
+    that maps each of the N k_1 ordered relation-1 edges to an edge is then
+    an automorphism of that graph, so it keeps every distance and every
+    class (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*, 1989),
+    and only the edges are checked.  Graphs, other schemes and hand-built
+    spaces compare all N^2 pairs.  Either way a permutation passes exactly
+    when it keeps every class, so the index and reason do not depend on the
+    route.
     """
-    p = space.intersection_numbers
-    check = _edge_check if p is not None and is_metric(p) else _pair_check
+    metric = space._certified and is_metric(space.intersection_numbers)
+    check = _edge_check if metric else _pair_check
     keeps = check(space.classes)
     n = space.n_vertices
     for i, (y, perm) in enumerate(zip(design.points, perms)):

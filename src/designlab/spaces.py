@@ -69,6 +69,10 @@ class Space:
     image array of an isometry taking y to o; the built-in families carry
     theirs, and files and graphs, which have None, need an isometry file.
     ``_ball_sweeps`` is ``spectra.ball_eigenvalues``'s cache, per (origin, tol).
+    ``_certified`` is True when ``intersection_numbers`` is known to hold at
+    every vertex pair: set by the built-in families and by ``load_space``
+    after its validation, never by the constructor, so a hand-built space
+    or a ``dataclasses.replace`` copy has False.
     """
 
     kind: str                      # "graph", "scheme", "hamming", "johnson", "cycle"
@@ -83,6 +87,7 @@ class Space:
         default=None, repr=False, compare=False)
     _ball_sweeps: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
+    _certified: bool = field(default=False, init=False, repr=False, compare=False)
 
     @property
     def is_scheme(self) -> bool:
@@ -240,7 +245,7 @@ def _family_space(kind, n, m, rows, laplacian_class, labels, translation) -> Spa
     valencies = p[0].diagonal().copy()          # p^0_ii = k_i
     reached = component_labels(p[:, laplacian_class, :] > 0) == 0
     _check_connected(laplacian_class, n // int(valencies[reached].sum()))
-    return Space(
+    space = Space(
         kind=kind,
         n_vertices=n,
         n_classes=m,
@@ -251,6 +256,8 @@ def _family_space(kind, n, m, rows, laplacian_class, labels, translation) -> Spa
         labels=labels,
         translation=translation,
     )
+    object.__setattr__(space, "_certified", True)
+    return space
 
 
 def _intersection_numbers(row_of, m: int) -> np.ndarray:
@@ -620,6 +627,7 @@ def load_space(path: str, laplacian_class: int = 1) -> Space:
     report = validate_scheme(space)
     if not report.valid:
         raise SchemeError(f"{path}: scheme axiom violation: {report.failures[0]}")
+    object.__setattr__(space, "_certified", True)
     return space
 
 

@@ -25,6 +25,9 @@ import numpy as np
 # and its dense eigvalsh takes well under a second.  Past it both grow, as
 # K^2 and K^3 with K ~ 4 order^(1/3); torus dims up to 253 012 018 stay below.
 _BESSEL_ORDER_MAX = 502 ** 3
+_DIM_MAX = 2 * _BESSEL_ORDER_MAX + 2            # the torus dim of that order
+_ABOVE_DIM_MAX = (f"torus dim is above the limit {_DIM_MAX} "
+                  f"(Bessel order {_BESSEL_ORDER_MAX})")
 
 
 def bessel_first_zero(order: float) -> float:
@@ -40,11 +43,11 @@ def bessel_first_zero(order: float) -> float:
     o_K are 0); it holds lambda_max(T)^2, since T is bipartite.  Orders
     above ``_BESSEL_ORDER_MAX`` are refused before anything is allocated.
     """
-    if order < -0.5:
+    if not order >= -0.5:                      # nan too
         raise ValueError("order must be >= -1/2")
     if order > _BESSEL_ORDER_MAX:
         raise ValueError(f"Bessel order {order} is above the limit {_BESSEL_ORDER_MAX} "
-                         f"(torus dim {2 * _BESSEL_ORDER_MAX + 2})")
+                         f"(torus dim {_DIM_MAX})")
     if abs(order) == 0.5:
         return math.pi if order > 0 else math.pi / 2
     # K = 40 + ceil(4 order^(1/3)); max() as a negative float ** (1/3) is complex
@@ -58,13 +61,15 @@ def bessel_first_zero(order: float) -> float:
     return float(1 / math.sqrt(np.linalg.eigvalsh(even)[-1]))
 
 
-def _check_dim(dim: int) -> None:
-    """Refuse a torus dim whose Bessel order dim/2 - 1 is above
-    ``_BESSEL_ORDER_MAX``, before any float is formed from it: dim / 2
-    overflows past the float range."""
-    if dim > 2 * _BESSEL_ORDER_MAX + 2:
-        raise ValueError(f"torus dim is above the limit {2 * _BESSEL_ORDER_MAX + 2} "
-                         f"(Bessel order {_BESSEL_ORDER_MAX})")
+def _first_zero(dim: int) -> float:
+    """j_{n/2-1,1} for the torus dim n, the one place a dim becomes a Bessel
+    order.  A dim below 1 or above ``_DIM_MAX`` is refused before dim / 2 is
+    formed: past the float range it overflows."""
+    if dim < 1:
+        raise ValueError("need dim >= 1")
+    if dim > _DIM_MAX:
+        raise ValueError(_ABOVE_DIM_MAX)
+    return bessel_first_zero(dim / 2 - 1)
 
 
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -93,6 +98,8 @@ def _log_unit_ball_volume(dim: int) -> float:
 
 
 def unit_ball_volume(dim: int) -> float:
+    if dim > _DIM_MAX:                         # dim / 2 overflows past the float range
+        raise ValueError(_ABOVE_DIM_MAX)
     return _product(lambda: math.pi ** (dim / 2) / math.gamma(dim / 2 + 1),
                     _log_unit_ball_volume(dim))
 
@@ -101,8 +108,7 @@ def ball_fundamental_tone(dim: int, radius: float) -> float:
     """Smallest Dirichlet eigenvalue of a Euclidean ball: (j_{n/2-1,1}/r)^2."""
     if dim < 1 or not 0 < radius < math.inf:
         raise ValueError("need dim >= 1 and radius > 0, finite")
-    _check_dim(dim)
-    return (bessel_first_zero(dim / 2 - 1) / radius) ** 2
+    return (_first_zero(dim) / radius) ** 2
 
 
 @dataclass(frozen=True)
@@ -116,9 +122,10 @@ class TorusBound:
     r_star: float                  # optimal ball radius
     covolume_bound: float          # upper bound on covol of the dual lattice
     density_bound: float           # upper bound on lattice packing density
+    log10_density_bound: float     # its log10, finite in every dimension
     rho_grid: float                # grid-search minimiser, for auditing
     covolume_grid: float           # grid-search bound value
-    density_grid: float            # density bound from covolume_grid
+    density_grid: float            # density bound at rho_grid
 
 
 def _ratio_objective(rho: float, dim: int) -> float:
@@ -129,6 +136,17 @@ def _log_ratio_objective(rho: float, dim: int) -> float:
     return -dim / 2 * math.log(rho) - math.log(1.0 - rho)
 
 
+def _density(n: int, j1: float, rho: float) -> tuple[float, float]:
+    """The packing density bound v_n^2 (j/4 pi)^n rho^(-n/2)/(1 - rho) at the
+    ratio rho, j = j_{n/2-1,1}, and its natural log.  It is v_n (s/2)^n times
+    the covolume bound at rho, in which the shortest length s cancels."""
+    log_value = (2 * _log_unit_ball_volume(n) + n * math.log(j1 / (4 * math.pi))
+                 + _log_ratio_objective(rho, n))
+    return _product(lambda: (unit_ball_volume(n) ** 2 * (j1 / (4 * math.pi)) ** n
+                             * _ratio_objective(rho, n)),
+                    log_value), log_value
+
+
 def torus_covolume_bound(dim: int, shortest: float) -> TorusBound:
     """Upper bound on the covolume of the dual of a lattice with shortest
     vector length ``shortest``.
@@ -137,7 +155,8 @@ def torus_covolume_bound(dim: int, shortest: float) -> TorusBound:
     lambda(r) the ball tone; substituting rho = lambda/t reduces it to
     minimising rho^(-n/2)/(1 - rho), whose minimiser is n/(n+2).  The
     closed form is cross-checked against a numeric minimisation.  Above
-    the float range the covolume bounds are math.inf.
+    the float range the covolume bounds are math.inf.  The density bounds
+    come from ``_density`` and do not depend on ``shortest``.
     """
     if dim < 1 or not 0 < shortest < math.inf:
         raise ValueError("need dim >= 1 and finite shortest > 0")
@@ -150,26 +169,17 @@ def torus_covolume_bound(dim: int, shortest: float) -> TorusBound:
     if not sys.float_info.min <= t < math.inf:
         raise ValueError(f"shortest {s!r} puts t = 4 pi^2 shortest^2 outside "
                          "the normal float range")
-    _check_dim(n)
-    j1 = bessel_first_zero(n / 2 - 1)
-    log_vn = _log_unit_ball_volume(n)
-    log_base = log_vn + n * math.log(j1 / (2 * math.pi * s))
-    log_cell = n * math.log(s / 2)         # density = v_n (s/2)^n covolume
+    j1 = _first_zero(n)
+    log_base = _log_unit_ball_volume(n) + n * math.log(j1 / (2 * math.pi * s))
 
-    def bounds(rho: float) -> tuple[float, float]:
-        """Covolume and density bounds at the ratio rho."""
-        log_covolume = log_base + _log_ratio_objective(rho, n)
-        covolume = _product(
+    def covolume(rho: float) -> float:
+        return _product(
             lambda: (unit_ball_volume(n) * (j1 / (2 * math.pi * s)) ** n
                      * _ratio_objective(rho, n)),
-            log_covolume)
-        density = _product(lambda: unit_ball_volume(n) * (s / 2) ** n * covolume,
-                           log_vn + log_cell + log_covolume)
-        return covolume, density
+            log_base + _log_ratio_objective(rho, n))
 
     rho_star = n / (n + 2)
-    covolume, density = bounds(rho_star)
-    r_star = j1 / math.sqrt(rho_star * t)
+    density, log_density = _density(n, j1, rho_star)
 
     # golden-section search; the objective is convex in rho, so unimodal
     lo, hi, shrink = 1e-9, 1 - 1e-9, (math.sqrt(5) - 1) / 2
@@ -180,47 +190,31 @@ def torus_covolume_bound(dim: int, shortest: float) -> TorusBound:
         else:
             lo = a
     rho_grid = (lo + hi) / 2
-    covolume_grid, density_grid = bounds(rho_grid)
     return TorusBound(
         dim=n,
         shortest=s,
         t=t,
         rho_star=rho_star,
-        r_star=r_star,
-        covolume_bound=covolume,
+        r_star=j1 / math.sqrt(rho_star * t),
+        covolume_bound=covolume(rho_star),
         density_bound=density,
+        log10_density_bound=log_density / math.log(10),
         rho_grid=rho_grid,
-        covolume_grid=covolume_grid,
-        density_grid=density_grid,
+        covolume_grid=covolume(rho_grid),
+        density_grid=_density(n, j1, rho_grid)[0],
     )
 
 
-def _log_density_bound(n: int) -> tuple[float, float]:
-    """j_{n/2-1,1} and the natural log of ``lattice_density_bound(n)``."""
-    if n < 1:
-        raise ValueError("need dim >= 1")
-    _check_dim(n)
-    j1 = bessel_first_zero(n / 2 - 1)
-    return j1, (2 * _log_unit_ball_volume(n) + n * math.log(j1 / (4 * math.pi))
-                + n / 2 * math.log((n + 2) / n) + math.log((n + 2) / 2))
-
-
 def lattice_density_bound(dim: int) -> float:
-    """Upper bound on lattice sphere-packing density in dimension ``dim``.
-
-    Scale-invariant closed form:
+    """Upper bound on lattice sphere-packing density in dimension ``dim``:
+    ``_density`` at rho = n/(n+2), which is the scale-invariant closed form
     v_n^2 (j_{n/2-1,1} / 4 pi)^n ((n+2)/n)^(n/2) (n+2)/2.
     It underflows to 0.0 from dimension 2018; ``log10_density_bound`` does not.
     """
-    n = dim
-    j1, log_value = _log_density_bound(n)
-    return _product(
-        lambda: (unit_ball_volume(n) ** 2 * (j1 / (4 * math.pi)) ** n
-                 * ((n + 2) / n) ** (n / 2) * (n + 2) / 2),
-        log_value)
+    return _density(dim, _first_zero(dim), dim / (dim + 2))[0]
 
 
 def log10_density_bound(dim: int) -> float:
     """log10 of ``lattice_density_bound(dim)``, from the same sum of logs;
     finite in every dimension."""
-    return _log_density_bound(dim)[1] / math.log(10)
+    return _density(dim, _first_zero(dim), dim / (dim + 2))[1] / math.log(10)
