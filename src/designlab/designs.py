@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spaces import (_CHUNK, DEFAULT_TOL, Records, SchemeError, Space, SpectralData,
-                     _check_origin, _neighbours, is_metric)
+                     _check_origin, _layer, _neighbours, is_metric)
 from .spectra import (SubsetEig, ball_eigenvalues, dirichlet_form, sphere_union_eigen,
                       subset_eigen)
 
@@ -220,18 +220,19 @@ def _validate_action(space: Space, design: Design, origin: int, perms: np.ndarra
     taking its design point to the origin and preserving the class of every
     vertex pair, or None.  Every permutation is checked exhaustively.
 
-    When the space's p is metric (``spaces.is_metric``) and holds at every
-    pair (``Space._certified``: a built-in family or a validated file), the
-    class of a pair is its distance in the relation-1 graph.  A bijection
-    that maps each of the N k_1 ordered relation-1 edges to an edge is then
-    an automorphism of that graph, so it keeps every distance and every
-    class (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*, 1989),
-    and only the edges are checked.  Graphs, other schemes and hand-built
-    spaces compare all N^2 pairs.  Either way a permutation passes exactly
-    when it keeps every class, so the index and reason do not depend on the
-    route.
+    When the space's relation-1 layer is metric (``spaces.is_metric`` of
+    ``_layer(space, 1)``, which a family carries, so no p is built) and p
+    holds at every pair (``Space._certified``: a built-in family or a
+    validated file), the class of a pair is its distance in the relation-1
+    graph.  A bijection that maps each of the N k_1 ordered relation-1 edges
+    to an edge is then an automorphism of that graph, so it keeps every
+    distance and every class (Brouwer, Cohen and Neumaier, *Distance-Regular
+    Graphs*, 1989), and only the edges are checked.  Graphs, other schemes
+    and hand-built spaces compare all N^2 pairs.  Either way a permutation
+    passes exactly when it keeps every class, so the index and reason do not
+    depend on the route.
     """
-    metric = space._certified and is_metric(space.intersection_numbers)
+    metric = space._certified and is_metric(_layer(space, 1))
     check = _edge_check if metric else _pair_check
     keeps = check(space.classes)
     n = space.n_vertices

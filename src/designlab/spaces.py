@@ -15,7 +15,7 @@ import math
 import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 import numpy as np
@@ -59,10 +59,14 @@ class Space:
     ``classes[x, y]`` is the relation class of the pair (x, y); class 0 is
     the diagonal.  ``valencies[i]`` counts the class-i partners of any
     vertex.  ``intersection_numbers[k, i, j]`` is p^k_ij, present for every
-    scheme this module builds and None for graphs.  ``classes`` and
-    ``labels`` take a value or a builder: the built-in families pass
-    builders, so the N x N class matrix exists only once vertex-level work
-    reads it, and the scheme algebra never does.  ``rows(xs)`` gives the
+    scheme this module builds and None for graphs.  ``classes``, ``labels``
+    and ``intersection_numbers`` take a value or a builder: the built-in
+    families pass builders, so the N x N class matrix exists only once
+    vertex-level work reads it, and the (m+1)^3 p table only once scheme
+    validation or a relation other than 1 reads it.
+    ``_layer1`` is B_1 = p[:, 1, :], which a family forms from its
+    intersection array; every other space, a ``dataclasses.replace`` copy
+    included, has None, and ``_layer`` then reads p.  ``rows(xs)`` gives the
     class-matrix rows of the vertices ``xs`` from whatever ``classes``
     holds: the matrix once built, the family's builder before that, so
     reading one row builds no N x N matrix.  ``translation(y, o)`` is the
@@ -88,6 +92,8 @@ class Space:
     _ball_sweeps: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
     _certified: bool = field(default=False, init=False, repr=False, compare=False)
+    _layer1: np.ndarray | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     @property
     def is_scheme(self) -> bool:
@@ -124,6 +130,7 @@ class Space:
 # set after @dataclass, so that the fields keep repr=False and classes stays required
 Space.classes = _BuiltOnRead("classes")
 Space.labels = _BuiltOnRead("labels")
+Space.intersection_numbers = _BuiltOnRead("intersection_numbers")
 
 
 @dataclass(frozen=True)
@@ -230,34 +237,66 @@ def _check_relation(r: int, m: int) -> None:
         raise SchemeError(f"laplacian class {r} out of range 1..{m}")
 
 
-def _family_space(kind, n, m, rows, laplacian_class, labels, translation) -> Space:
-    """A built-in family's space from m+2 rows of its class matrix.
+def _family_space(kind, n, b, c, rows, laplacian_class, labels, translation) -> Space:
+    """A built-in family's space from its intersection array
+    {b_0, ..., b_{m-1}; c_1, ..., c_m}.
 
+    The family is a distance-regular graph whose pair class is the
+    distance, so the array fixes the valencies, k_{i+1} = k_i b_i / c_{i+1},
+    and the relation-1 layer B_1 = p[:, 1, :], with p^k_{1,k-1} = c_k,
+    p^k_{1,k+1} = b_k and p^k_{1k} = k_1 - b_k - c_k (Brouwer, Cohen and
+    Neumaier, *Distance-Regular Graphs*, 1989, 4.1).  The space carries
+    B_1; its p is built from m+2 class-matrix rows, by
+    ``_intersection_numbers``, when ``intersection_numbers`` is first read.
     ``rows(xs)`` returns the class-matrix rows of the vertices ``xs``; it
     is the space's ``classes`` builder, which builds the whole matrix when
     ``classes`` is first read, called with no argument.  The family
     is a scheme by construction, so regularity is not counted and
-    connectivity is read off p: the spheres that relation r reaches from
-    the origin's sphere must hold all N vertices.
+    connectivity is read off relation r's layer: the spheres that relation
+    r reaches from the origin's sphere must hold all N vertices.
     """
+    m = len(b)
     _check_relation(laplacian_class, m)
-    p = _intersection_numbers(rows, m)
-    valencies = p[0].diagonal().copy()          # p^0_ii = k_i
-    reached = component_labels(p[:, laplacian_class, :] > 0) == 0
-    _check_connected(laplacian_class, n // int(valencies[reached].sum()))
+    _check_p_size(m)
+    valencies = [1]
+    for b_i, c_next in zip(b, c):
+        valencies.append(valencies[-1] * b_i // c_next)
+    b, c = np.array([*b, 0]), np.array([0, *c])     # b_m = c_0 = 0
+    layer1 = np.diag(b[:-1], 1) + np.diag(c[1:], -1) + np.diag(b[0] - b - c)
     space = Space(
         kind=kind,
         n_vertices=n,
         n_classes=m,
         classes=lambda xs=slice(None): rows(np.arange(n)[xs]),
-        valencies=valencies,
+        valencies=np.array(valencies),
         laplacian_class=laplacian_class,
-        intersection_numbers=p,
+        intersection_numbers=lambda: _intersection_numbers(rows, m),
         labels=labels,
         translation=translation,
     )
+    object.__setattr__(space, "_layer1", layer1)
+    reached = component_labels(_layer(space, laplacian_class) > 0) == 0
+    _check_connected(laplacian_class, n // int(space.valencies[reached].sum()))
     object.__setattr__(space, "_certified", True)
     return space
+
+
+def _layer(space: Space, r: int) -> np.ndarray:
+    """B_r = p[:, r, :], so B_r[k, j] = p^k_{rj}: the family's carried
+    ``_layer1`` for r = 1, else read from the p table."""
+    if r == 1 and space._layer1 is not None:
+        return space._layer1
+    if space.intersection_numbers is None:
+        raise ValueError("space has no intersection numbers; validate it first")
+    return space.intersection_numbers[:, r, :]
+
+
+def _check_p_size(m: int) -> None:
+    """Refuse an (m+1)^3 int64 p table over ``_P_TABLE_CAP`` bytes."""
+    size = 8 * (m + 1) ** 3
+    if size > _P_TABLE_CAP:
+        raise SchemeError(f"p^k_ij for m = {m} needs {size / 2 ** 30:.1f} GiB "
+                          f"> cap {_P_TABLE_CAP / 2 ** 30:.0f} GiB")
 
 
 def _intersection_numbers(row_of, m: int) -> np.ndarray:
@@ -269,10 +308,7 @@ def _intersection_numbers(row_of, m: int) -> np.ndarray:
     ``validate_scheme`` checks the values against every pair.  A table over
     ``_P_TABLE_CAP`` bytes is refused before anything is allocated.
     """
-    size = 8 * (m + 1) ** 3
-    if size > _P_TABLE_CAP:
-        raise SchemeError(f"p^k_ij for m = {m} needs {size / 2 ** 30:.1f} GiB "
-                          f"> cap {_P_TABLE_CAP / 2 ** 30:.0f} GiB")
+    _check_p_size(m)
     p = np.zeros((m + 1, m + 1, m + 1), dtype=int)
     for k, _, layer in _p_layers(row_of, m):
         p[k] = layer
@@ -294,7 +330,8 @@ def hamming(n: int, q: int, laplacian_class: int = 1) -> Space:
 
     Vertex x encodes the word with digit i equal to (x // q**i) % q; the
     relation class of a pair is its Hamming distance.  The isometry taking
-    y to o adds o - y to every word, coordinatewise mod q.
+    y to o adds o - y to every word, coordinatewise mod q.  The digit table
+    is built on the first vertex-level read.
     """
     if q < 2 or n < 1:
         raise SchemeError("hamming requires q >= 2 and n >= 1")
@@ -304,19 +341,24 @@ def hamming(n: int, q: int, laplacian_class: int = 1) -> Space:
     if size > SIZE_CAP:
         raise SchemeError(f"hamming({n},{q}) has {size} vertices > cap {SIZE_CAP}")
     weights = q ** np.arange(n)
-    digits = (np.arange(size)[:, None] // weights) % q
+
+    @cache
+    def digits():
+        return (np.arange(size)[:, None] // weights) % q
 
     def rows(xs):
         out = np.zeros((len(xs), size), dtype=np.int64)
-        for col in digits.T:         # per coordinate: no (len(xs), N, n) array
+        for col in digits().T:       # per coordinate: no (len(xs), N, n) array
             out += col[xs, None] != col[None, :]
         return out
 
     def translation(y, o):
-        return ((digits - digits[y] + digits[o]) % q) @ weights
+        words = digits()
+        return ((words - words[y] + words[o]) % q) @ weights
 
-    return _family_space("hamming", size, n, rows, laplacian_class,
-                         lambda: tuple(map(tuple, digits)), translation)
+    return _family_space("hamming", size, [(n - i) * (q - 1) for i in range(n)],
+                         range(1, n + 1), rows, laplacian_class,
+                         lambda: tuple(map(tuple, digits())), translation)
 
 
 def johnson(n: int, w: int, laplacian_class: int = 1) -> Space:
@@ -324,7 +366,8 @@ def johnson(n: int, w: int, laplacian_class: int = 1) -> Space:
 
     Pair class i means the subsets share w - i elements.  The isometry
     taking y to o swaps y - o with o - y, elementwise in ascending order,
-    on the ground set.
+    on the ground set.  The subsets and their tables are built on the first
+    vertex-level read.
     """
     if not 1 <= w <= n // 2:
         raise SchemeError("johnson requires 1 <= w <= n/2")
@@ -333,14 +376,23 @@ def johnson(n: int, w: int, laplacian_class: int = 1) -> Space:
     size = math.comb(n, w)
     if size > SIZE_CAP:
         raise SchemeError(f"johnson({n},{w}) has {size} vertices > cap {SIZE_CAP}")
-    # colex order compares the largest elements first; vertex v has colex rank v
-    subsets = sorted(combinations(range(1, n + 1), w), key=lambda s: s[::-1])
-    masks = np.zeros((size, n), dtype=int)
-    np.put_along_axis(masks, np.array(subsets) - 1, 1, axis=1)
-    # colex rank: the a-th smallest element, at 0-based position e, adds comb(e, a)
-    binom = np.array([[math.comb(e, a) for a in range(w + 1)] for e in range(n)])
+
+    @cache
+    def tables():
+        # colex order compares the largest elements first; vertex v has colex rank v
+        subsets = sorted(combinations(range(1, n + 1), w), key=lambda s: s[::-1])
+        masks = np.zeros((size, n), dtype=int)
+        np.put_along_axis(masks, np.array(subsets) - 1, 1, axis=1)
+        # colex rank: the a-th smallest element, at 0-based position e, adds comb(e, a)
+        binom = np.array([[math.comb(e, a) for a in range(w + 1)] for e in range(n)])
+        return subsets, masks, binom
+
+    def rows(xs):
+        masks = tables()[1]
+        return w - masks[xs] @ masks.T
 
     def translation(y, o):
+        _, masks, binom = tables()
         sigma = np.arange(n)                    # an involution of the ground set
         src = np.flatnonzero(masks[y] > masks[o])
         dst = np.flatnonzero(masks[o] > masks[y])
@@ -348,8 +400,9 @@ def johnson(n: int, w: int, laplacian_class: int = 1) -> Space:
         mapped = masks[:, sigma]
         return (binom[np.arange(n), mapped.cumsum(axis=1)] * mapped).sum(axis=1)
 
-    return _family_space("johnson", size, w, lambda xs: w - masks[xs] @ masks.T,
-                         laplacian_class, tuple(subsets), translation)
+    return _family_space("johnson", size, [(w - i) * (n - w - i) for i in range(w)],
+                         [i * i for i in range(1, w + 1)], rows, laplacian_class,
+                         lambda: tuple(tables()[0]), translation)
 
 
 def cycle(n: int, laplacian_class: int = 1) -> Space:
@@ -365,8 +418,9 @@ def cycle(n: int, laplacian_class: int = 1) -> Space:
         diff = np.abs(xs[:, None] - idx)
         return np.minimum(diff, n - diff)
 
-    return _family_space("cycle", n, n // 2, rows, laplacian_class, None,
-                         lambda y, o: (idx - y + o) % n)
+    d = n // 2
+    return _family_space("cycle", n, [2] + [1] * (d - 1), [1] * (d - 1) + [2 - n % 2],
+                         rows, laplacian_class, None, lambda y, o: (idx - y + o) % n)
 
 
 _FAMILIES = {
@@ -686,11 +740,14 @@ def save_space(space: Space, path: str) -> None:
 # validation
 
 
-def is_metric(p: np.ndarray) -> bool:
-    """True when p says that the class of a pair is its distance in
-    relation 1: p^k_{1j} = 0 for |k - j| > 1 and p^{j+1}_{1j} > 0 for j < m.
+def is_metric(b: np.ndarray) -> bool:
+    """True when the relation-1 layer b[k, j] = p^k_{1j} (``_layer(space,
+    1)``) says that the class of a pair is its distance in relation 1:
+    p^k_{1j} = 0 for |k - j| > 1 and p^{j+1}_{1j} > 0 for j < m.  A whole
+    (m+1)^3 table p is read at its layer p[:, 1, :].
     """
-    b = p[:, 1, :]                          # b[k, j] = p^k_{1j}
+    if b.ndim == 3:
+        b = b[:, 1, :]
     k, j = np.indices(b.shape)
     return not b[abs(k - j) > 1].any() and bool((b.diagonal(-1) > 0).all())
 
@@ -754,7 +811,7 @@ def validate_scheme(space: Space) -> ValidationReport:
         p = _intersection_numbers(classes.__getitem__, m)
     else:
         failures = _row0_mismatches(classes, p, m)
-    if not failures and not (is_metric(p) and _metric_layer_holds(classes, p)):
+    if not failures and not (is_metric(p[:, 1, :]) and _metric_layer_holds(classes, p)):
         failures = _product_failures(classes, p)
     if not np.array_equal(space.valencies, counts[0]):
         failures.append(f"valencies {space.valencies.tolist()} differ from the "
@@ -862,18 +919,18 @@ def _sphere_set(space: Space, spheres) -> tuple[int, ...]:
 def quotient_matrix(space: Space, spheres) -> tuple[np.ndarray, np.ndarray]:
     """Symmetrised quotient Laplacian on a set of sphere indices.
 
-    Row/column a of the raw quotient is  deg*delta_ab - p^a_{r,b};
+    Row/column a of the raw quotient is  deg*delta_ab - p^a_{r,b}, read
+    from ``_layer(space, r)``;
     conjugation by diag(sqrt(n_a)) makes it symmetric, which is asserted
     via the identity n_a p^a_{r,b} = n_b p^b_{r,a}.  Each coupling is then
     formed once, as -sqrt(p^a_{r,b} p^b_{r,a}), so the two triangles are
     equal bit for bit.  Returns the symmetric matrix and the sqrt-valency
     weights.
     """
-    if space.intersection_numbers is None:
-        raise ValueError("space has no intersection numbers; validate it first")
+    layer = _layer(space, space.laplacian_class)
     idx = np.array(_sphere_set(space, spheres))
     nval = space.valencies[idx]
-    p_r = space.intersection_numbers[np.ix_(idx, [space.laplacian_class], idx)][:, 0, :]
+    p_r = layer[np.ix_(idx, idx)]
     flow = nval[:, None] * p_r
     if (flow != flow.T).any():
         a, b = idx[np.argwhere(flow != flow.T)[0]]
