@@ -135,7 +135,11 @@ def _spheres_arg(args, space) -> list[int]:
         if args.ball < 0 or args.ball > space.n_classes:
             raise ValueError(f"ball radius out of range 0..{space.n_classes}")
         return list(range(args.ball + 1))
-    return [int(s) for s in args.spheres.split(",")]
+    try:
+        return [int(s) for s in args.spheres.split(",")]
+    except ValueError:
+        raise ValueError(f"--spheres {args.spheres!r} is not a comma-separated "
+                         "list of integers") from None
 
 
 def _cmd_space(args, out: Reporter) -> int:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .spaces import (_CHUNK, DEFAULT_TOL, Records, SchemeError, Space, SpectralData,
-                     _check_origin, _layer, _neighbours, is_metric)
+                     _check_origin, _neighbours, is_metric)
 from .spectra import (SubsetEig, ball_eigenvalues, dirichlet_form, sphere_union_eigen,
                       subset_eigen)
 
@@ -206,9 +206,9 @@ class IsometryAction:
     ``permutations[i]`` maps design point i to the origin; row p is the
     image array, i.e. tau_i(x) = permutations[i][x].  ``validated`` means
     every permutation was checked to keep the class of every vertex pair:
-    on a family or loaded metric scheme through its relation-1 edges, which
-    decide every class (see ``_validate_action``), and otherwise pair by
-    pair.
+    on a space that carries a metric relation-1 layer (a family or a
+    loaded metric scheme file) through its relation-1 edges, which decide
+    every class (see ``_validate_action``), and otherwise pair by pair.
     """
 
     permutations: np.ndarray       # (d, N) int
@@ -220,9 +220,9 @@ def _validate_action(space: Space, design: Design, origin: int, perms: np.ndarra
     taking its design point to the origin and preserving the class of every
     vertex pair, or None.  Every permutation is checked exhaustively.
 
-    When the space's relation-1 layer is metric (``spaces.is_metric`` of
-    ``_layer(space, 1)``, which a family carries, so no p is built) and p
-    holds at every pair (``Space._certified``: a built-in family or a
+    When the space carries its relation-1 layer, which certifies that p
+    holds at every pair (``Space._layer1``), and that layer is metric
+    (``spaces.is_metric``; the space is then a built-in family or a
     validated file), the class of a pair is its distance in the relation-1
     graph.  A bijection that maps each of the N k_1 ordered relation-1 edges
     to an edge is then an automorphism of that graph, so it keeps every
@@ -232,7 +232,7 @@ def _validate_action(space: Space, design: Design, origin: int, perms: np.ndarra
     passes exactly when it keeps every class, so the index and reason do not
     depend on the route.
     """
-    metric = space._certified and is_metric(_layer(space, 1))
+    metric = space._layer1 is not None and is_metric(space._layer1)
     check = _edge_check if metric else _pair_check
     keeps = check(space.classes)
     n = space.n_vertices

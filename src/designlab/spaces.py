@@ -63,20 +63,17 @@ class Space:
     and ``intersection_numbers`` take a value or a builder: the built-in
     families pass builders, so the N x N class matrix exists only once
     vertex-level work reads it, and the (m+1)^3 p table only once scheme
-    validation or a relation other than 1 reads it.
-    ``_layer1`` is B_1 = p[:, 1, :], which a family forms from its
-    intersection array; every other space, a ``dataclasses.replace`` copy
-    included, has None, and ``_layer`` then reads p.  ``rows(xs)`` gives the
+    validation or a relation other than 1 reads it.  ``rows(xs)`` gives the
     class-matrix rows of the vertices ``xs`` from whatever ``classes``
     holds: the matrix once built, the family's builder before that, so
     reading one row builds no N x N matrix.  ``translation(y, o)`` is the
     image array of an isometry taking y to o; the built-in families carry
     theirs, and files and graphs, which have None, need an isometry file.
     ``_ball_sweeps`` is ``spectra.ball_eigenvalues``'s cache, per (origin, tol).
-    ``_certified`` is True when ``intersection_numbers`` is known to hold at
-    every vertex pair: set by the built-in families and by ``load_space``
-    after its validation, never by the constructor, so a hand-built space
-    or a ``dataclasses.replace`` copy has False.
+    ``_layer1`` is B_1 = p[:, 1, :], carried exactly when p is known to hold
+    at every pair: a family forms it from its array, ``load_space`` from the
+    p its validation checked.  Graphs, hand-built spaces and
+    ``dataclasses.replace`` copies have None, and ``_layer`` then reads p.
     """
 
     kind: str                      # "graph", "scheme", "hamming", "johnson", "cycle"
@@ -91,7 +88,6 @@ class Space:
         default=None, repr=False, compare=False)
     _ball_sweeps: dict = field(default_factory=dict, init=False, repr=False,
                                compare=False)
-    _certified: bool = field(default=False, init=False, repr=False, compare=False)
     _layer1: np.ndarray | None = field(default=None, init=False, repr=False,
                                        compare=False)
 
@@ -246,7 +242,7 @@ def _family_space(kind, n, b, c, rows, laplacian_class, labels, translation) -> 
     and the relation-1 layer B_1 = p[:, 1, :], with p^k_{1,k-1} = c_k,
     p^k_{1,k+1} = b_k and p^k_{1k} = k_1 - b_k - c_k (Brouwer, Cohen and
     Neumaier, *Distance-Regular Graphs*, 1989, 4.1).  The space carries
-    B_1; its p is built from m+2 class-matrix rows, by
+    B_1 as ``_layer1``; its p is built from m+2 class-matrix rows, by
     ``_intersection_numbers``, when ``intersection_numbers`` is first read.
     ``rows(xs)`` returns the class-matrix rows of the vertices ``xs``; it
     is the space's ``classes`` builder, which builds the whole matrix when
@@ -277,13 +273,12 @@ def _family_space(kind, n, b, c, rows, laplacian_class, labels, translation) -> 
     object.__setattr__(space, "_layer1", layer1)
     reached = component_labels(_layer(space, laplacian_class) > 0) == 0
     _check_connected(laplacian_class, n // int(space.valencies[reached].sum()))
-    object.__setattr__(space, "_certified", True)
     return space
 
 
 def _layer(space: Space, r: int) -> np.ndarray:
-    """B_r = p[:, r, :], so B_r[k, j] = p^k_{rj}: the family's carried
-    ``_layer1`` for r = 1, else read from the p table."""
+    """B_r = p[:, r, :], so B_r[k, j] = p^k_{rj}: the carried ``_layer1``
+    for r = 1, else read from the p table."""
     if r == 1 and space._layer1 is not None:
         return space._layer1
     if space.intersection_numbers is None:
@@ -681,7 +676,7 @@ def load_space(path: str, laplacian_class: int = 1) -> Space:
     report = validate_scheme(space)
     if not report.valid:
         raise SchemeError(f"{path}: scheme axiom violation: {report.failures[0]}")
-    object.__setattr__(space, "_certified", True)
+    object.__setattr__(space, "_layer1", report.intersection_numbers[:, 1, :])
     return space
 
 
@@ -721,19 +716,18 @@ def _read_space(path: str) -> tuple[str, int, np.ndarray]:
 
 def save_space(space: Space, path: str) -> None:
     """Write a space in the scheme (or graph) file format."""
-    n = space.n_vertices
+    n, classes = space.n_vertices, space.classes
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         if space.is_scheme:
             fh.write(f"scheme {n} {space.n_classes}\n")
-            for u in range(n):
-                for v in range(u + 1, n):
-                    fh.write(f"rel {u} {v} {space.classes[u, v]}\n")
+            for u in range(n):      # row by row: no N^2/2 index arrays at once
+                fh.writelines(f"rel {u} {v} {c}\n" for v, c in
+                              enumerate(classes[u, u + 1:].tolist(), u + 1))
         else:
             fh.write(f"graph {n}\n")
             for u in range(n):
-                for v in range(u + 1, n):
-                    if space.classes[u, v] == 1:
-                        fh.write(f"edge {u} {v}\n")
+                fh.writelines(f"edge {u} {v}\n" for v in
+                              (np.flatnonzero(classes[u, u + 1:] == 1) + u + 1).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,8 @@ def _log_unit_ball_volume(dim: int) -> float:
 
 
 def unit_ball_volume(dim: int) -> float:
+    if dim < 0:
+        raise ValueError(f"need dim >= 0, got {dim}")
     if dim > _DIM_MAX:                         # dim / 2 overflows past the float range
         raise ValueError(_ABOVE_DIM_MAX)
     return _product(lambda: math.pi ** (dim / 2) / math.gamma(dim / 2 + 1),

@@ -270,3 +270,23 @@ def test_cover_vacuity_follows_the_below_t_rule(capsys, tmp_path):
                     "--t", t, "--ball", "1")
     assert code == 1
     assert out.startswith("error: vacuous:")
+
+
+@pytest.mark.parametrize("spheres", ["0,,1", ",", "", "0,x"])
+def test_malformed_spheres_name_the_flag(capsys, spheres):
+    code, out = run(capsys, "subset-eig", "hamming:n=3,q=2", "--spheres", spheres)
+    assert code == 1
+    assert out == (f"error: --spheres {spheres!r} is not a comma-separated "
+                   "list of integers\n")
+
+
+def test_only_bound_checks_the_origin_of_a_set(capsys, tmp_path):
+    # bound --set builds its decomposition at --origin; subset-eig --set reads none
+    sfile = tmp_path / "s.txt"
+    sfile.write_text("0\n1\n")
+    code, out = run(capsys, "bound", "hamming:n=3,q=2", "--t", "2", "--set", str(sfile),
+                    "--origin", "99")
+    assert (code, out) == (1, "error: origin 99 out of range\n")
+    code, out = run(capsys, "subset-eig", "hamming:n=3,q=2", "--set", str(sfile),
+                    "--origin", "99")
+    assert code == 0 and "volume = 2" in out

@@ -217,6 +217,17 @@ def test_graph_space_round_trips_through_save_space(files, tmp_path):
     assert path.read_text() == "graph 8\n" + "".join(f"edge {u} {v}\n" for u, v in edges)
 
 
+def test_scheme_space_round_trips_through_save_space(tmp_path):
+    space = dl.hamming(2, 2)
+    path = tmp_path / "h22.txt"
+    dl.save_space(space, str(path))
+    assert path.read_text() == ("scheme 4 2\nrel 0 1 1\nrel 0 2 1\nrel 0 3 2\n"
+                                "rel 1 2 2\nrel 1 3 1\nrel 2 3 1\n")
+    again = dl.load_space(str(path))
+    assert again.kind == "scheme"
+    assert np.array_equal(again.classes, space.classes)
+
+
 @pytest.mark.parametrize("argv", [["subset-eig", "--spheres", "0,2"],
                                   ["bound", "--t", "3", "--auto"]])
 def test_empty_sphere_is_refused_on_both_routes(capsys, tmp_path, argv):

@@ -77,6 +77,13 @@ def test_unit_ball_volume_refuses_a_dim_above_the_limit(dim):
         dl.unit_ball_volume(dim)
 
 
+@pytest.mark.parametrize("dim", [-1, -2, -3, -10 ** 400])
+def test_unit_ball_volume_refuses_a_negative_dim(dim):
+    with pytest.raises(ValueError, match=f"need dim >= 0, got {dim}"):
+        dl.unit_ball_volume(dim)
+    assert dl.unit_ball_volume(0) == 1.0
+
+
 def test_bessel_zero_refuses_nan():
     with pytest.raises(ValueError, match="order must be >= -1/2"):
         dl.bessel_first_zero(float("nan"))
