@@ -457,9 +457,9 @@ def build_named_space(spec: str, laplacian_class: int = 1) -> Space:
 # file format
 
 
-# str.isspace of each Latin-1 character; a line that starts with one of these,
-# or with a character past Latin-1, is a record unless it is blank throughout
-_SPACE = np.array([chr(c).isspace() for c in range(256)])
+# a line may be blank when its first byte is an ASCII space or non-ASCII, the
+# lead of a UTF-8 character that may be Unicode space; it is decoded to check
+_SPACE = np.array([c > 127 or chr(c).isspace() for c in range(256)])
 _DIGITS = 18             # longest token read by the scan: 10^18 < 2^63
 
 
@@ -467,13 +467,13 @@ class Records:
     """The records of a data file, for all four loaders.
 
     The file is read once, as UTF-8 text with universal newlines, and kept
-    as one array of character codes: bytes when the text is ASCII, else
-    UTF-32 code points.  Lines end at "\\n" alone (``str.splitlines`` would
-    also split at form feeds and other separators, which would shift line
-    numbers).  A record is a line that is neither blank nor a comment, a
-    line whose first character is '#'.  Records are kept as arrays of line
-    bounds and line numbers; a record's text is sliced from the file only
-    when a header, an error message or ``ints`` needs it.
+    as its UTF-8 bytes, in one array; a leading byte-order mark is dropped.
+    Lines end at "\\n" alone (``str.splitlines`` would also split at form
+    feeds and other separators, which would shift line numbers).  A record
+    is a line that is neither blank (empty or Unicode whitespace) nor a
+    comment, a line whose first character is '#'.  Records are kept as
+    arrays of line bounds and line numbers; a record's text is sliced from
+    the file only when a header, an error message or ``ints`` needs it.
     """
 
     def __init__(self, path: str):
@@ -487,25 +487,23 @@ class Records:
                 head = exc.object[:exc.start]
                 line = 1 + head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n")
                 raise SchemeError(f"{path}:{line}: not UTF-8 text") from None
-        if text.isascii():
-            self._encoding, dtype = "ascii", np.uint8
-        else:
-            self._encoding, dtype = "utf-32-le", np.uint32
-        self._codes = codes = np.frombuffer(text.encode(self._encoding), dtype)
+        if text.startswith("\ufeff"):
+            text = text[1:]
+        self._codes = codes = np.frombuffer(text.encode(), np.uint8)
         del text
         breaks = np.flatnonzero(codes == 10)
         starts = np.concatenate(([0], breaks + 1))
         ends = np.append(breaks, len(codes))
         lines = np.flatnonzero(ends > starts)
         first = codes[starts[lines]]
-        maybe_blank = (first > 255) | _SPACE[np.minimum(first, 255)]
+        maybe_blank = _SPACE[first]
         maybe_blank[maybe_blank] = [self._text(starts[i], ends[i]).isspace()
                                     for i in lines[maybe_blank]]
         lines = lines[(first != 35) & ~maybe_blank]
         self._starts, self._ends, self._lineno = starts[lines], ends[lines], lines + 1
 
     def _text(self, start: int, end: int) -> str:
-        return self._codes[start:end].tobytes().decode(self._encoding)
+        return self._codes[start:end].tobytes().decode()
 
     def __len__(self) -> int:
         return len(self._lineno)
@@ -544,7 +542,7 @@ class Records:
         return [self.int_at(index, text) for text in values]
 
     def equals(self, index, text: str) -> np.ndarray:
-        """Whether each of the records ``index`` is exactly ``text``."""
+        """Whether each of the records ``index`` is exactly ASCII ``text``."""
         starts = self._starts[index]
         same = self._ends[index] - starts == len(text)
         for j, char in enumerate(text):
@@ -997,13 +995,13 @@ def _scheme_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
     at_origin = np.add.reduceat(u[0] ** 2, starts)          # (E_G)_{oo} = m_G / N
     mult = n * at_origin
     multiplicities = np.rint(mult).astype(int)
-    off = (np.abs(mult - multiplicities) > tol * n) | (multiplicities < 1)
-    if off.any() or multiplicities.sum() != n:
+    off = np.abs(mult - multiplicities).max()
+    if off > tol * n or (multiplicities < 1).any() or multiplicities.sum() != n:
         raise RuntimeError(
-            "eigenspace multiplicities "
-            f"{' '.join(f'{x:.6g}' for x in mult)} are not positive integers "
-            f"summing to N = {n}; the intersection numbers are not those "
-            "of a scheme")
+            f"eigenspace multiplicities {' '.join(f'{x:.6g}' for x in mult)} are "
+            f"not positive integers summing to N = {n} (largest distance to an "
+            f"integer {off:.2g}, bound tol*N = {tol * n:.2g}); the intersection "
+            "numbers are not those of a scheme")
     zonal = np.zeros((len(starts), m + 1))
     zonal[:, live] = (np.add.reduceat(u * u[0], starts, axis=1)
                       / (root[:, None] * at_origin)).T

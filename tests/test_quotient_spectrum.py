@@ -5,6 +5,7 @@ oracle here groups the eigenvalues of the full N x N Laplacian instead.
 """
 
 import dataclasses
+import re
 from collections import deque
 
 import numpy as np
@@ -157,6 +158,31 @@ def test_non_integral_multiplicity_rejected():
     p[1, 1, 1] = 1
     with pytest.raises(RuntimeError, match="multiplicities"):
         dl.spectral_decomposition(dataclasses.replace(space, intersection_numbers=p))
+
+
+def _distance_and_bound(message):
+    found = re.search(r"largest distance to an integer (\S+), bound tol\*N = (\S+)\)",
+                      message)
+    assert found, message
+    return float(found[1]), float(found[2])
+
+
+def test_multiplicity_error_names_distance_and_bound(capsys):
+    # H(3,2)'s multiplicities are integers to within rounding, which
+    # --tol 1e-17 (tol*N = 8e-17) is below
+    assert cli_main(["spectrum", "hamming:n=3,q=2", "--tol", "1e-17"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("error: eigenspace multiplicities 1 3 3 1 are not positive")
+    off, bound = _distance_and_bound(out)
+    assert bound == 8e-17 and bound < off < 1e-14
+    # the loop count p^1_{1,1} = 1 puts them a tenth off
+    space = dl.hamming(3, 2)
+    p = space.intersection_numbers.copy()
+    p[1, 1, 1] = 1
+    with pytest.raises(RuntimeError, match="^eigenspace multiplicities") as exc:
+        dl.spectral_decomposition(dataclasses.replace(space, intersection_numbers=p))
+    off, bound = _distance_and_bound(str(exc.value))
+    assert bound == 8e-9 and 0.05 < off < 0.5
 
 
 def test_quotient_symmetry_failure_names_classes():
