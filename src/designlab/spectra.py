@@ -4,7 +4,9 @@ The Laplacian sums each vertex's neighbours in a fixed order, with no BLAS
 call.  A subset's Dirichlet eigenvalue, the least Rayleigh quotient of
 functions on it, comes from dense restriction or, for sphere unions in a
 scheme, the quotient matrix; ``_leading_block_minima`` solves a tridiagonal
-quotient (every metric scheme's balls) for all its leading blocks at once.
+quotient (every metric scheme's balls) for all its leading blocks at once,
+one block at a time in Python floats up to ``_SCALAR_ROWS`` rows and
+vectorised over the blocks above that, with the same bits on both routes.
 """
 
 from __future__ import annotations
@@ -119,12 +121,13 @@ def _tridiagonal_size(space: Space, sym: np.ndarray, tol: float) -> int:
 
 
 _NEWTON_STEPS = 100     # then eigvalsh, for a block that is still rising
+_SCALAR_ROWS = 64       # _newton_blocks up to here: a numpy call costs more than a short row
 
 
 def _leading_block_minima(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of each leading block T_r = T[:r+1, :r+1] of a
     positive semidefinite tridiagonal T with diagonal ``diag`` and nonzero
-    couplings ``off``, all blocks in one vectorised pass.
+    couplings ``off``.
 
     Newton's method on det(T_r - x), from the larger of 0 and T_r's
     Gershgorin bound, both at or below lambda_min(T_r): below the smallest
@@ -138,13 +141,29 @@ def _leading_block_minima(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     has converged.  The bound is the block's own, not T's, so each block's
     arithmetic is its own and its value does not depend on the other
     blocks.  Ball quotients take 6-9 steps, and H(1000,2)'s take 19.
-    A block still rising after ``_NEWTON_STEPS`` steps takes ``eigvalsh``
-    of T_r instead: path Laplacians with weights spread over 1..2^20 reach
-    that in about 1 of 13 random draws of up to 80 rows.
+
+    Two loops run the same operations in the same order, so they give the
+    same bits: up to ``_SCALAR_ROWS`` rows ``_newton_blocks`` solves one
+    block at a time in Python floats, and a larger T takes
+    ``_newton_batch``, vectorised over the blocks; on a short quotient each
+    of its numpy calls costs more than the few flops it does.  Both start
+    from ``_gershgorin_bounds``.  A block still rising after
+    ``_NEWTON_STEPS`` steps takes ``eigvalsh`` of T_r instead: path
+    Laplacians with weights spread over 1..2^20 reach that in about 1 of 13
+    random draws of up to 80 rows.
     """
-    n = len(diag)
-    # Gershgorin: over i <= r, lambda_min(T_r) >= min a_i - |e_{i-1}| - |e_i|
-    # and ||T_r|| <= max a_i + |e_{i-1}| + |e_i|, where row r of T_r has no e_r
+    x, norm = _gershgorin_bounds(diag, off)
+    newton = _newton_blocks if len(diag) <= _SCALAR_ROWS else _newton_batch
+    for r in newton(diag, (off ** 2).tolist(), x, norm):
+        block = np.diag(diag[:r + 1]) + np.diag(off[:r], 1) + np.diag(off[:r], -1)
+        x[r] = np.linalg.eigvalsh(block)[0]
+    return x
+
+
+def _gershgorin_bounds(diag: np.ndarray, off: np.ndarray):
+    """Newton's start, max(0, min_{i<=r} a_i - |e_{i-1}| - |e_i|), at or below
+    lambda_min(T_r), and the bound max_{i<=r} a_i + |e_{i-1}| + |e_i| on
+    ||T_r||, for every r; row r of T_r has no e_r."""
     coupling = np.abs(off)
     last, norm = diag.copy(), diag.copy()
     last[1:] -= coupling
@@ -152,8 +171,50 @@ def _leading_block_minima(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     x = last.clip(0.0)
     x[1:] = np.minimum(x[1:], np.minimum.accumulate(last[:-1] - coupling).clip(0.0))
     norm[1:] = np.maximum(norm[1:], np.maximum.accumulate(norm[:-1] + coupling))
+    return x, norm
+
+
+def _newton_blocks(diag: np.ndarray, e2: list, x: np.ndarray, norm: np.ndarray):
+    """``_leading_block_minima``'s Newton loop one block at a time in Python
+    floats: x rises in place, and the blocks still rising after
+    ``_NEWTON_STEPS`` steps are returned.  A zero pivot, or a step that is
+    not above 0 (falling or NaN), ends a block with x unchanged, as
+    ``_newton_batch``'s ``np.fmax`` makes such a step 0."""
+    steps, a, xs, norms = _NEWTON_STEPS, diag.tolist(), x.tolist(), norm.tolist()
+    pairs = list(zip(a[1:], e2))
+    rising = []
+    for r, (lam, bound) in enumerate(zip(xs, norms)):
+        rows = pairs[:r]
+        for _ in range(steps):
+            try:
+                d = a[0] - lam
+                g = total = -1.0 / d
+                for a_k, e in rows:
+                    q = e / d
+                    d = a_k - lam - q
+                    g = (q * g - 1.0) / d
+                    total += g
+                step = -1.0 / total
+            except ZeroDivisionError:
+                break
+            if not step > 0.0:
+                break
+            lam += step
+            # (lam if lam > bound else bound) is max(bound, lam) without a call
+            if not step > 2.0 ** -52 * (lam if lam > bound else bound):
+                break
+        else:
+            rising.append(r)
+        xs[r] = lam
+    x[:] = xs
+    return rising
+
+
+def _newton_batch(diag: np.ndarray, e2: list, x: np.ndarray, norm: np.ndarray):
+    """``_newton_blocks`` vectorised over the blocks: each numpy call takes
+    one row k of every block at once."""
+    n = len(diag)
     rising = np.ones(n, dtype=bool)
-    e2 = (off ** 2).tolist()
     ratios = np.zeros((n, n))       # [k, r]: g_k of block r, and 0 for k > r
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(_NEWTON_STEPS):
@@ -169,11 +230,8 @@ def _leading_block_minima(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
             x += step
             rising = step > 2.0 ** -52 * np.maximum(norm, x)
             if not rising.any():
-                return x
-    for r in np.flatnonzero(rising):
-        block = np.diag(diag[:r + 1]) + np.diag(off[:r], 1) + np.diag(off[:r], -1)
-        x[r] = np.linalg.eigvalsh(block)[0]
-    return x
+                break
+    return np.flatnonzero(rising)
 
 
 def _tridiagonal_minima(space: Space, sym: np.ndarray, tol: float) -> list[float]:
@@ -211,7 +269,9 @@ def spherical_subset_eigen(space: Space, origin: int, spheres,
     returned eigenfunction is the zero-extended sphere-constant vector.  A
     quotient that is one tridiagonal block takes its value from
     ``_leading_block_minima``, as ``ball_eigenvalues`` does, and its
-    eigenvector from ``eigh``; any other takes ``_quotient_eigen``.
+    eigenvector from ``eigh``; any other takes ``_quotient_eigen``.  A ball
+    quotient of at most ``_SCALAR_ROWS`` rows, such as the 2 x 2 of spheres
+    [0, 1], is solved in Python floats, with no numpy call per Newton step.
     """
     _check_origin(space, origin)
     spheres = _sphere_set(space, spheres)
