@@ -20,7 +20,9 @@ from itertools import combinations
 
 import numpy as np
 
-SIZE_CAP = 4096          # largest N: the N x N class matrix must fit when read
+SIZE_CAP = 4096          # largest N: the N x N class matrix, 32 MiB of int16, must fit
+CLASS_DTYPE = np.int16   # every class matrix built here; signed, so differences
+                         # of classes cannot wrap, and wide enough for m < SIZE_CAP
 DEFAULT_TOL = 1e-9
 _CHUNK = 1 << 20         # class-matrix entries gathered or compared at a time
 _P_TABLE_CAP = 1 << 32   # bytes: the largest (m+1)^3 int64 p^k_ij table built
@@ -69,6 +71,9 @@ class Space:
     reading one row builds no N x N matrix.  ``translation(y, o)`` is the
     image array of an isometry taking y to o; the built-in families carry
     theirs, and files and graphs, which have None, need an isometry file.
+    The families and ``load_space`` build ``classes`` as ``CLASS_DTYPE``
+    (int16), a quarter of int64; a hand-built ``Space`` may pass any
+    integer dtype.
     ``_ball_sweeps`` is ``spectra.ball_eigenvalues``'s cache, per (origin, tol).
     ``_layer1`` is B_1 = p[:, 1, :], carried exactly when p is known to hold
     at every pair: a family forms it from its array, ``load_space`` from the
@@ -79,7 +84,7 @@ class Space:
     kind: str                      # "graph", "scheme", "hamming", "johnson", "cycle"
     n_vertices: int
     n_classes: int                 # m: classes are 0..m
-    classes: np.ndarray = field(repr=False)          # (N, N) int
+    classes: np.ndarray = field(repr=False)          # (N, N) CLASS_DTYPE or any int
     valencies: np.ndarray          # (m+1,) int
     laplacian_class: int = 1
     intersection_numbers: np.ndarray | None = None   # (m+1, m+1, m+1) int
@@ -222,10 +227,17 @@ def _finish_space(kind, classes, m, laplacian_class) -> Space:
 
 
 def _class_counts(classes: np.ndarray, m: int) -> np.ndarray:
-    """counts[x, i] = #{y : c(x, y) = i}, for classes in 0..m."""
+    """counts[x, i] = #{y : c(x, y) = i}, for classes in 0..m, counted in
+    rows of about ``_CHUNK / 8`` entries, so the int64 cells stay near 1 MiB."""
     n = classes.shape[0]
-    cells = classes + (m + 1) * np.arange(n)[:, None]
-    return np.bincount(cells.ravel(), minlength=n * (m + 1)).reshape(n, m + 1)
+    counts = np.empty((n, m + 1), dtype=np.intp)
+    step = max(1, (_CHUNK // 8) // n)
+    for lo in range(0, n, step):
+        rows = classes[lo:lo + step]
+        cells = rows + (m + 1) * np.arange(len(rows))[:, None]
+        counts[lo:lo + step] = np.bincount(
+            cells.ravel(), minlength=len(rows) * (m + 1)).reshape(-1, m + 1)
+    return counts
 
 
 def _check_relation(r: int, m: int) -> None:
@@ -312,9 +324,11 @@ def _intersection_numbers(row_of, m: int) -> np.ndarray:
 
 def _p_layers(row_of, m: int):
     """(k, y, p^k) for each class k in row 0, p^k read off the pair (0, y),
-    y the first class-k vertex: one (m+1) x (m+1) layer at a time."""
+    y the first class-k vertex: one (m+1) x (m+1) layer at a time.  Row 0
+    is widened to ``intp``, as (m+1)^2 passes int16 from m = 181."""
     row0 = row_of(np.arange(1))[0]
     ks, firsts = np.unique(row0, return_index=True)
+    row0 = row0.astype(np.intp)
     for k, y, row in zip(ks, firsts, row_of(firsts)):
         yield k, y, np.bincount(row0 * (m + 1) + row,
                                 minlength=(m + 1) ** 2).reshape(m + 1, m + 1)
@@ -342,7 +356,7 @@ def hamming(n: int, q: int, laplacian_class: int = 1) -> Space:
         return (np.arange(size)[:, None] // weights) % q
 
     def rows(xs):
-        out = np.zeros((len(xs), size), dtype=np.int64)
+        out = np.zeros((len(xs), size), dtype=CLASS_DTYPE)
         for col in digits().T:       # per coordinate: no (len(xs), N, n) array
             out += col[xs, None] != col[None, :]
         return out
@@ -376,7 +390,7 @@ def johnson(n: int, w: int, laplacian_class: int = 1) -> Space:
     def tables():
         # colex order compares the largest elements first; vertex v has colex rank v
         subsets = sorted(combinations(range(1, n + 1), w), key=lambda s: s[::-1])
-        masks = np.zeros((size, n), dtype=int)
+        masks = np.zeros((size, n), dtype=CLASS_DTYPE)
         np.put_along_axis(masks, np.array(subsets) - 1, 1, axis=1)
         # colex rank: the a-th smallest element, at 0-based position e, adds comb(e, a)
         binom = np.array([[math.comb(e, a) for a in range(w + 1)] for e in range(n)])
@@ -384,7 +398,8 @@ def johnson(n: int, w: int, laplacian_class: int = 1) -> Space:
 
     def rows(xs):
         masks = tables()[1]
-        return w - masks[xs] @ masks.T
+        out = masks[xs] @ masks.T               # common elements, at most w
+        return np.subtract(w, out, out=out)
 
     def translation(y, o):
         _, masks, binom = tables()
@@ -408,10 +423,11 @@ def cycle(n: int, laplacian_class: int = 1) -> Space:
     if n > SIZE_CAP:
         raise SchemeError(f"cycle({n}) has {n} vertices > cap {SIZE_CAP}")
     idx = np.arange(n)
+    vertex = idx.astype(CLASS_DTYPE)
 
     def rows(xs):
-        diff = np.abs(xs[:, None] - idx)
-        return np.minimum(diff, n - diff)
+        diff = np.abs(vertex[xs, None] - vertex)
+        return np.minimum(diff, n - diff, out=diff)
 
     d = n // 2
     return _family_space("cycle", n, [2] + [1] * (d - 1), [1] * (d - 1) + [2 - n % 2],
@@ -705,7 +721,7 @@ def _read_space(path: str) -> tuple[str, int, np.ndarray]:
     if bad.any():
         i = 1 + int(np.argmax(bad))
         raise rec.error(i, f"'{' '.join(rec.line(i).split())}' is a loop or out of range")
-    classes = np.full((n, n), -1 if kind == "scheme" else 2)
+    classes = np.full((n, n), -1 if kind == "scheme" else 2, dtype=CLASS_DTYPE)
     np.fill_diagonal(classes, 0)
     classes[lo, hi] = c                 # a pair listed twice keeps one class,
     classes[hi, lo] = c                 # the same in both triangles
@@ -772,9 +788,8 @@ def validate_scheme(space: Space) -> ValidationReport:
     n, m = space.n_vertices, space.n_classes
     failures: list[str] = []
 
-    outside = np.argwhere((classes < 0) | (classes > m))
-    if len(outside):
-        x, y = outside[0]
+    if classes.min() < 0 or classes.max() > m:  # no N x N mask when all are in range
+        x, y = np.argwhere((classes < 0) | (classes > m))[0]
         return ValidationReport(False, [f"pair ({x},{y}) in class {classes[x, y]}, "
                                         f"outside 0..{m}"])
     if (np.diag(classes) != 0).any():
@@ -785,6 +800,7 @@ def validate_scheme(space: Space) -> ValidationReport:
     if zero.any():
         x, y = np.argwhere(zero)[0]
         failures.append(f"off-diagonal pair ({x},{y}) in class 0")
+    del zero                                    # one N x N mask alive at a time
     if (classes != classes.T).any():
         x, y = np.argwhere(classes != classes.T)[0]
         failures.append(f"classification not symmetric at pair ({x},{y})")
