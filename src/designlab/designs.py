@@ -79,7 +79,8 @@ def load_design(path: str, n_vertices: int | None = None) -> Design:
     fault = _design_fault(points, weights, n_vertices)
     if fault is not None:
         raise rec.error(*fault)
-    return make_design(points, weights, n_vertices)
+    order = np.argsort(points)
+    return Design(points=points[order], weights=weights[order])
 
 
 @dataclass(frozen=True)

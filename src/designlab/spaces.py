@@ -76,9 +76,9 @@ class Space:
     integer dtype.
     ``_ball_sweeps`` is ``spectra.ball_eigenvalues``'s cache, per (origin, tol).
     ``_layer1`` is B_1 = p[:, 1, :], carried exactly when p is known to hold
-    at every pair: a family forms it from its array, ``load_space`` from the
-    p its validation checked.  Graphs, hand-built spaces and
-    ``dataclasses.replace`` copies have None, and ``_layer`` then reads p.
+    at every pair, and set by ``_finish_scheme``: a family's from its array,
+    a file's from the p its validation checked.  Graphs, hand-built spaces
+    and ``dataclasses.replace`` copies have None, and ``_layer`` reads p.
     """
 
     kind: str                      # "graph", "scheme", "hamming", "johnson", "cycle"
@@ -204,26 +204,26 @@ def _check_connected(r: int, n_comp: int) -> None:
 
 
 def _finish_space(kind, classes, m, laplacian_class) -> Space:
-    """A space from its class matrix, checked at vertex level: files and
-    graphs, whose p is trusted only after ``validate_scheme``."""
-    n = classes.shape[0]
-    counts = _class_counts(classes, m)
-    if not (counts == counts[0]).all():
-        bad = int(np.argwhere((counts != counts[0]).any(axis=1))[0, 0])
-        raise SchemeError(f"space is not regular: witness vertex {bad}")
+    """A space from its whole class matrix, as a file gives it.  A graph is
+    counted for regularity and connectivity at vertex level; a scheme is
+    finished as a family is, with the p that ``validate_scheme`` certifies."""
     _check_relation(laplacian_class, m)
-    _check_connected(laplacian_class,
-                     len(np.unique(component_labels(classes == laplacian_class))))
-    p = None if kind == "graph" else _intersection_numbers(classes.__getitem__, m)
-    return Space(
-        kind=kind,
-        n_vertices=n,
-        n_classes=m,
-        classes=classes,
-        valencies=counts[0].copy(),
-        laplacian_class=laplacian_class,
-        intersection_numbers=p,
-    )
+    space = Space(kind=kind, n_vertices=classes.shape[0], n_classes=m, classes=classes,
+                  valencies=np.bincount(classes[0], minlength=m + 1),
+                  laplacian_class=laplacian_class)
+    if kind == "graph":
+        counts = _class_counts(classes, m)
+        if not (counts == counts[0]).all():
+            bad = int(np.argwhere((counts != counts[0]).any(axis=1))[0, 0])
+            raise SchemeError(f"space is not regular: witness vertex {bad}")
+        _check_connected(laplacian_class,
+                         len(np.unique(component_labels(classes == laplacian_class))))
+        return space
+    report = validate_scheme(space)
+    if not report.valid:
+        raise SchemeError(f"scheme axiom violation: {report.failures[0]}")
+    object.__setattr__(space, "intersection_numbers", report.intersection_numbers)
+    return _finish_scheme(space, report.intersection_numbers[:, 1, :])
 
 
 def _class_counts(classes: np.ndarray, m: int) -> np.ndarray:
@@ -258,10 +258,8 @@ def _family_space(kind, n, b, c, rows, laplacian_class, labels, translation) -> 
     ``_intersection_numbers``, when ``intersection_numbers`` is first read.
     ``rows(xs)`` returns the class-matrix rows of the vertices ``xs``; it
     is the space's ``classes`` builder, which builds the whole matrix when
-    ``classes`` is first read, called with no argument.  The family
-    is a scheme by construction, so regularity is not counted and
-    connectivity is read off relation r's layer: the spheres that relation
-    r reaches from the origin's sphere must hold all N vertices.
+    ``classes`` is first read, called with no argument.  A scheme by
+    construction, the family goes straight to ``_finish_scheme``.
     """
     m = len(b)
     _check_relation(laplacian_class, m)
@@ -282,9 +280,16 @@ def _family_space(kind, n, b, c, rows, laplacian_class, labels, translation) -> 
         labels=labels,
         translation=translation,
     )
+    return _finish_scheme(space, layer1)
+
+
+def _finish_scheme(space: Space, layer1: np.ndarray) -> Space:
+    """A certified scheme, family or file, carrying B_1 as ``_layer1``; relation
+    r is connected when the spheres B_r reaches from sphere 0 hold all N vertices."""
     object.__setattr__(space, "_layer1", layer1)
-    reached = component_labels(_layer(space, laplacian_class) > 0) == 0
-    _check_connected(laplacian_class, n // int(space.valencies[reached].sum()))
+    r = space.laplacian_class
+    reached = component_labels(_layer(space, r) > 0) == 0
+    _check_connected(r, space.n_vertices // int(space.valencies[reached].sum()))
     return space
 
 
@@ -673,29 +678,19 @@ def load_space(path: str, laplacian_class: int = 1) -> Space:
     """Load a space file.
 
     ``scheme <N> <m>`` followed by ``rel <u> <v> <c>`` for every unordered
-    pair, or ``graph <N>`` followed by ``edge <u> <v>`` lines.  Scheme files
-    are validated against the scheme axioms on load.  Every error names
-    the file.
+    pair, or ``graph <N>`` followed by ``edge <u> <v>`` lines, read by
+    ``_read_space`` and finished by ``_finish_space``: a scheme file is
+    validated against the scheme axioms on load.  Every error names the file.
     """
     kind, m, classes = _read_space(path)    # its record lines die before validation
-    if (classes < 0).any():
-        u, v = np.argwhere(classes < 0)[0]
-        raise SchemeError(f"{path}: pair ({u},{v}) has no classification")
     try:
-        space = _finish_space(kind, classes, m, laplacian_class)
+        return _finish_space(kind, classes, m, laplacian_class)
     except SchemeError as exc:
         raise SchemeError(f"{path}: {exc}") from None
-    if kind == "graph":
-        return space
-    report = validate_scheme(space)
-    if not report.valid:
-        raise SchemeError(f"{path}: scheme axiom violation: {report.failures[0]}")
-    object.__setattr__(space, "_layer1", report.intersection_numbers[:, 1, :])
-    return space
 
 
 def _read_space(path: str) -> tuple[str, int, np.ndarray]:
-    """(kind, m, classes) of a space file; an unlisted scheme pair is -1."""
+    """(kind, m, classes) of a space file; an unlisted scheme pair is an error."""
     rec = Records(path)
     if not len(rec):
         raise SchemeError(f"{path}: empty space file")
@@ -725,6 +720,9 @@ def _read_space(path: str) -> tuple[str, int, np.ndarray]:
     np.fill_diagonal(classes, 0)
     classes[lo, hi] = c                 # a pair listed twice keeps one class,
     classes[hi, lo] = c                 # the same in both triangles
+    if classes.min() < 0:               # no N x N mask when every pair is listed
+        u, v = np.argwhere(classes < 0)[0]
+        raise SchemeError(f"{path}: pair ({u},{v}) has no classification")
     return kind, m, classes
 
 
@@ -766,19 +764,20 @@ def validate_scheme(space: Space) -> ValidationReport:
     p^k_ij is the space's own ``intersection_numbers``, the table that
     the quotient, the spectrum and the bounds read; it must equal, layer by
     layer, the p read off one pair (0, y) per class, and a class that does
-    not occur must have p^k = 0.  A space that carries none (graphs, a
-    hand-built ``Space``) has its p read off those pairs.  When that p is
-    metric (``is_metric``), one layer of it is checked: for every pair
-    (x, y), k = c(x, y), the relation-1 neighbours z of x step to c(z, y) in
-    k-1..k+1, p^k_{1,k+1} up and p^k_{1,k-1} down, which is N^2 k_1 gathers.
-    This is enough.  By induction on c(x, y), a pair of class k >= 1 has a
-    relation-1 neighbour of x in class k - 1 with y, and no neighbour of x
-    is in a class below k - 1; with c(x, y) = 0 only for x = y and c
-    symmetric, c is the graph distance in relation 1.  That
-    graph then has intersection numbers c_k, a_k, b_k that do not depend on
-    the pair, so it is distance-regular, and the distance classes of a
-    distance-regular graph form a symmetric association scheme
-    (Brouwer, Cohen and Neumaier, *Distance-Regular Graphs*, 1989, 4.1).
+    not occur must have p^k = 0.  A space that carries none (a graph, a
+    hand-built ``Space``, a file being loaded) has its p read off those
+    pairs, in one walk of row 0.  When that p is metric (``is_metric``), one
+    layer of it is checked: for every pair (x, y), k = c(x, y), the
+    relation-1 neighbours z of x step to c(z, y) in k-1..k+1, p^k_{1,k+1} up
+    and p^k_{1,k-1} down, which is N^2 k_1 gathers.  This is enough.  By
+    induction on c(x, y), a pair of class k >= 1 has a relation-1 neighbour
+    of x in class k - 1 with y, and no neighbour of x is in a class below
+    k - 1; with c(x, y) = 0 only for x = y and c symmetric, c is the graph
+    distance in relation 1.  That graph then has intersection numbers c_k,
+    a_k, b_k that do not depend on the pair, so it is distance-regular, and
+    the distance classes of a distance-regular graph form a symmetric
+    association scheme (Brouwer, Cohen and Neumaier, *Distance-Regular
+    Graphs*, 1989, 4.1).
     Its p is the one read off row 0.  Other schemes, and any that fail the
     metric check, compare A_i A_j with p at every pair for all i <= j,
     which names the failures and their witness pairs.  On success the

@@ -1,9 +1,11 @@
 """Built-in families against the vertex-level route, and the size of their
 bound route.
 
-A family builds p^k_ij from m+2 rows of its class matrix and reads
-connectivity off p; ``_finish_space`` is the route that files take, from
-the whole N x N matrix.  Both must give the same space or the same error.
+A family builds p^k_ij from m+2 rows of its class matrix; ``_finish_space``
+is the route that files take, from the whole N x N matrix, which
+``validate_scheme`` certifies and reads p from.  Both finish through
+``_finish_scheme`` and read connectivity off p, and they must give the same
+space or the same error.
 """
 
 import math
@@ -43,7 +45,7 @@ def test_family_matches_dense_route(make, args):
 
 
 def test_bound_route_builds_no_class_matrix():
-    # the 4096 x 4096 int64 class matrix alone is 128 MB
+    # the 4096 x 4096 int16 class matrix alone is 32 MiB
     tracemalloc.start()
     try:
         space = dl.build_named_space("hamming:n=12,q=2")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import designlab as dl
+from designlab.cli import main
 from test_family_spaces import FAMILIES
 
 
@@ -62,6 +63,60 @@ def test_scheme_file_load_builds_p_once(tmp_path, monkeypatch):
                           dl.johnson(8, 3).intersection_numbers)
 
 
+def count_calls(monkeypatch, *names):
+    """Record the arguments of each call through these ``spaces`` globals."""
+    calls = {name: [] for name in names}
+    for name in names:
+        def counting(*args, name=name, inner=getattr(dl.spaces, name)):
+            calls[name].append(args)
+            return inner(*args)
+        monkeypatch.setattr(dl.spaces, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("w", [3, 4])
+def test_scheme_file_load_checks_each_fact_once(tmp_path, monkeypatch, w):
+    path = tmp_path / f"j8{w}.txt"
+    dl.save_space(dl.johnson(8, w), str(path))
+    p = dl.johnson(8, w).intersection_numbers
+    calls = count_calls(monkeypatch, "_class_counts", "_p_layers", "validate_scheme",
+                        "component_labels")
+    for r in range(1, w + 1):
+        for found in calls.values():
+            found.clear()
+        if (w, r) == (4, 4):
+            with pytest.raises(dl.SchemeError) as info:
+                dl.load_space(str(path), laplacian_class=r)
+            assert str(info.value) == (f"{path}: relation class 4 is disconnected "
+                                       "(35 components); pick another --relation")
+        else:
+            space = dl.load_space(str(path), laplacian_class=r)
+            assert np.array_equal(space.intersection_numbers, p)
+        counted = {name: len(found) for name, found in calls.items()}
+        assert counted == {"_class_counts": 1, "_p_layers": 1, "validate_scheme": 1,
+                           "component_labels": 1}, r
+        assert calls["component_labels"][0][0].shape == (w + 1, w + 1)
+
+
+def test_graph_file_load_keeps_its_vertex_level_checks(tmp_path, monkeypatch):
+    path = tmp_path / "c8.txt"
+    path.write_text("graph 8\n" + "".join(f"edge {v} {(v + 1) % 8}\n" for v in range(8)))
+    calls = count_calls(monkeypatch, "_class_counts", "_p_layers", "validate_scheme",
+                        "component_labels")
+    assert dl.load_space(str(path)).kind == "graph"
+    assert {name: len(found) for name, found in calls.items()} == {
+        "_class_counts": 1, "_p_layers": 0, "validate_scheme": 0, "component_labels": 1}
+    assert calls["component_labels"][0][0].shape == (8, 8)
+
+
+def test_an_irregular_scheme_file_names_an_out_of_range_relation(tmp_path, capsys):
+    path = tmp_path / "p3.txt"
+    path.write_text("scheme 3 2\nrel 0 1 1\nrel 1 2 1\nrel 0 2 2\n")
+    assert main(["space", "info", f"file:{path}", "--relation", "5"]) == 1
+    assert capsys.readouterr().out == (
+        f"error: {path}: laplacian class 5 out of range 1..2\n")
+
+
 def test_validation_reports_the_space_own_p():
     for h in (dl.hamming(4, 2), dl.johnson(7, 3), dl.cycle(9)):
         report = dl.validate_scheme(h)
@@ -69,7 +124,7 @@ def test_validation_reports_the_space_own_p():
 
 
 def test_sphere_unions_build_no_class_matrix():
-    # the 2048 x 2048 int64 class matrix of H(11,2) alone is 32 MB
+    # the 2048 x 2048 int16 class matrix of H(11,2) alone is 8 MiB
     h = dl.hamming(11, 2)
     spec = dl.spectral_decomposition(h)
     dl.spherical_subset_eigen(dl.hamming(3, 2), 0, [0, 1])   # warm-up
@@ -111,6 +166,12 @@ def test_rows_follow_a_replaced_class_matrix():
      "space is not regular: witness vertex 1"),
     ("triangles.txt",
      "graph 6\nedge 0 1\nedge 1 2\nedge 0 2\nedge 3 4\nedge 4 5\nedge 3 5\n",
+     "relation class 1 is disconnected (2 components); pick another --relation"),
+    ("p3.txt", "scheme 3 2\nrel 0 1 1\nrel 1 2 1\nrel 0 2 2\n",
+     "scheme axiom violation: valency of class 1 not constant: witness vertex 1"),
+    ("triangles_scheme.txt",
+     "scheme 6 2\n" + "".join(f"rel {u} {v} {1 if u // 3 == v // 3 else 2}\n"
+                              for u in range(6) for v in range(u + 1, 6)),
      "relation class 1 is disconnected (2 components); pick another --relation"),
 ])
 def test_load_errors_name_their_file(tmp_path, name, text, message):
