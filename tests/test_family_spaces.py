@@ -5,7 +5,8 @@ A family builds p^k_ij from m+2 rows of its class matrix; ``_finish_space``
 is the route that files take, from the whole N x N matrix, which
 ``validate_scheme`` certifies and reads p from.  Both finish through
 ``_finish_scheme`` and read connectivity off p, and they must give the same
-space or the same error.
+space or the same error; that connectivity is checked against the components
+of relation r on the N x N mask.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 import designlab as dl
-from designlab.spaces import _finish_space
+from designlab.spaces import _finish_space, component_labels
 
 FAMILIES = (
     [(dl.hamming, (n, q)) for q in range(2, 17) for n in range(1, 9) if q ** n <= 256]
@@ -42,6 +43,28 @@ def test_family_matches_dense_route(make, args):
         for name in ("valencies", "intersection_numbers"):
             new, old = getattr(space, name), getattr(dense, name)
             assert new.dtype == old.dtype and np.array_equal(new, old), (name, r)
+
+
+@pytest.mark.parametrize("make, args", FAMILIES,
+                         ids=[f"{make.__name__}{args}" for make, args in FAMILIES])
+def test_family_connectivity_matches_vertex_components(make, args):
+    # both routes read connectivity off p; the oracle counts components of
+    # relation r on the N x N mask
+    classes = make(*args).classes
+    m = int(classes[0].max())
+    for r in range(1, m + 1):
+        parts = len(np.unique(component_labels(classes == r)))
+        if parts == 1:
+            make(*args, laplacian_class=r)
+            _finish_space(make.__name__, classes, m, r)
+            continue
+        text = (f"relation class {r} is disconnected ({parts} components); "
+                "pick another --relation")
+        for build in (lambda: make(*args, laplacian_class=r),
+                      lambda: _finish_space(make.__name__, classes, m, r)):
+            with pytest.raises(dl.SchemeError) as info:
+                build()
+            assert str(info.value) == text, r
 
 
 def test_bound_route_builds_no_class_matrix():
