@@ -140,7 +140,9 @@ class SpectralData:
 
     ``eigenvalues`` are the distinct Laplacian eigenvalues, ascending from
     0.  ``components(w)`` is the (k, N) array whose row j is E_j w, the
-    projection of w onto eigenspace j.  ``eigenmatrix[i, j]`` is the
+    projection of w onto eigenspace j; a (B, N) stack of functions gives
+    the (B, k, N) array of their components, equal to B lone calls to
+    rounding and exactly for unit vectors.  ``eigenmatrix[i, j]`` is the
     eigenvalue of adjacency class i on eigenspace j, and ``zonal[j, i]``
     the value of the j-th zonal sphere function on class-i vertices
     (normalised to 1 at the origin).  The (k, N, N) projectors E_j are
@@ -346,6 +348,13 @@ def hamming(n: int, q: int, laplacian_class: int = 1) -> Space:
     relation class of a pair is its Hamming distance.  The isometry taking
     y to o adds o - y to every word, coordinatewise mod q.  The digit table
     is built on the first vertex-level read.
+
+    For q = 2 the digits are the bits of x, so the class of (x, y) is the
+    popcount of x ^ y, read from a table of the N popcounts, the isometry
+    is x -> x ^ y ^ o, and the digit table serves only the labels.  Rows
+    are built in blocks of about ``_CHUNK / 64`` entries, XORed as uint16
+    and read from the table straight into the int16 output, so no
+    temporary exceeds 256 KiB.
     """
     if q < 2 or n < 1:
         raise SchemeError("hamming requires q >= 2 and n >= 1")
@@ -360,15 +369,35 @@ def hamming(n: int, q: int, laplacian_class: int = 1) -> Space:
     def digits():
         return (np.arange(size)[:, None] // weights) % q
 
-    def rows(xs):
-        out = np.zeros((len(xs), size), dtype=CLASS_DTYPE)
-        for col in digits().T:       # per coordinate: no (len(xs), N, n) array
-            out += col[xs, None] != col[None, :]
-        return out
+    if q == 2:
+        @cache
+        def popcounts():
+            table = np.zeros(size, dtype=CLASS_DTYPE)
+            for i in range(n):
+                table[1 << i:2 << i] = table[:1 << i] + 1
+            return table
 
-    def translation(y, o):
-        words = digits()
-        return ((words - words[y] + words[o]) % q) @ weights
+        def rows(xs):
+            out = np.empty((len(xs), size), dtype=CLASS_DTYPE)
+            ys = np.arange(size, dtype=np.uint16)
+            step = max(1, (_CHUNK // 64) // size)
+            for lo in range(0, len(xs), step):
+                block = np.asarray(xs[lo:lo + step], dtype=np.uint16)[:, None] ^ ys
+                np.take(popcounts(), block, out=out[lo:lo + step], mode="clip")
+            return out
+
+        def translation(y, o):
+            return np.arange(size) ^ (y ^ o)
+    else:
+        def rows(xs):
+            out = np.zeros((len(xs), size), dtype=CLASS_DTYPE)
+            for col in digits().T:   # per coordinate: no (len(xs), N, n) array
+                out += col[xs, None] != col[None, :]
+            return out
+
+        def translation(y, o):
+            words = digits()
+            return ((words - words[y] + words[o]) % q) @ weights
 
     return _family_space("hamming", size, [(n - i) * (q - 1) for i in range(n)],
                          range(1, n + 1), rows, laplacian_class,
@@ -1025,16 +1054,24 @@ def _scheme_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
     def components(w: np.ndarray) -> np.ndarray:
         # E_j = (m_j/N) sum_i z_j(i) A_i; (A_i w)_x from the rows of supp w,
         # in column blocks of about _CHUNK entries; a column block keeps each
-        # cell's summation order, so the result does not depend on _CHUNK
-        supp = np.flatnonzero(w)
-        step = max(1, _CHUNK // max(1, len(supp)))
-        sums = np.empty((n, m + 1))
+        # cell's summation order, so the result does not depend on _CHUNK.
+        # A stack of functions shares one support: each of its cells adds
+        # the same nonzero terms in the same order as a lone call
+        rows = w.reshape(-1, n)
+        supp = np.flatnonzero(rows.any(axis=0))
+        step = max(1, _CHUNK // max(1, len(rows) * len(supp)))
+        sums = np.empty((len(rows), n, m + 1))
         for lo in range(0, n, step):
             hi = min(lo + step, n)
-            cells = space.classes[supp, lo:hi] + (m + 1) * np.arange(hi - lo)
-            sums[lo:hi] = np.bincount(cells.ravel(), np.repeat(w[supp], hi - lo),
-                                      (hi - lo) * (m + 1)).reshape(hi - lo, m + 1)
-        return (multiplicities / n)[:, None] * (zonal @ sums.T)
+            width = (hi - lo) * (m + 1)
+            # cell of (row b, column x, class c): b * width + (x - lo) * (m + 1) + c
+            offsets = (m + 1) * np.arange(hi - lo) + width * np.arange(len(rows))[:, None]
+            cells = space.classes[supp, lo:hi] + offsets[:, None, :]
+            sums[:, lo:hi] = np.bincount(
+                cells.ravel(), np.repeat(rows[:, supp], hi - lo, axis=1).ravel(),
+                len(rows) * width).reshape(-1, hi - lo, m + 1)
+        sums = sums.reshape(*w.shape[:-1], n, m + 1)
+        return (multiplicities / n)[:, None] * (zonal @ np.swapaxes(sums, -1, -2))
 
     def build_projectors() -> np.ndarray:
         proj = zonal[:, space.classes]
@@ -1067,7 +1104,9 @@ def _graph_spectrum(space: Space, origin: int, tol: float) -> SpectralData:
     eigenmatrix[0], eigenmatrix[space.laplacian_class] = 1.0, space.degree - eigenvalues
 
     def components(f: np.ndarray) -> np.ndarray:
-        return np.add.reduceat(vecs * (f @ vecs), starts, axis=1).T
+        coef = f @ vecs                 # (N,) or (B, N): gemv or gemm
+        sums = np.add.reduceat(vecs * coef[..., None, :], starts, axis=-1)
+        return np.swapaxes(sums, -1, -2)
 
     ring, sizes = space.rows([origin])[0], space.valencies
     cols = (n / multiplicities)[:, None] * components(np.eye(1, n, origin)[0])
